@@ -8,9 +8,9 @@
      hh          - one distinct heavy-hitters tracking run
      run         - one simulation from a declarative query spec, with
                    optional --views standing satellite queries
-     coord       - run a tracking protocol over the socket or TCP transport
-     site        - one site relay process for the socket transport
-     relay       - one multiplexed relay process for the TCP transport
+     coord       - run a tracking protocol with sites served by relay
+                   processes over a Unix-domain socket or TCP
+     relay       - one relay process serving a contiguous range of sites
      eval        - run the acceptance grid and diff against a baseline
      inspect     - replay a JSONL trace into summary tables
      top         - live /metrics dashboard, or a one-shot trace view
@@ -27,8 +27,8 @@ module Ds = Wd_protocol.Ds_tracker
 module Network = Wd_net.Network
 module Wire = Wd_net.Wire
 module Transport = Wd_net.Transport
-module Socket = Wd_net.Transport_socket
 module Tcp = Wd_net.Transport_tcp
+module Frame_io = Wd_net.Frame_io
 module Sink = Wd_obs.Sink
 module Metrics = Wd_obs.Metrics
 module Trace = Wd_obs.Trace
@@ -143,24 +143,45 @@ let metrics_out_arg =
   Arg.(
     value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~doc)
 
-(* Build the (sink, registry) pair the run should be instrumented with. *)
-let build_obs ~trace_out ~metrics_out =
-  let metrics = Option.map (fun _ -> Metrics.create ()) metrics_out in
-  let sinks =
-    Option.to_list (Option.map (fun path -> Sink.jsonl path) trace_out)
-    @ Option.to_list (Option.map Sink.metrics metrics)
-  in
-  let sink = match sinks with [] -> None | l -> Some (Sink.fanout l) in
-  (sink, metrics)
+(* Output files are opened before any work, so a bad path is a usage
+   error naming it rather than an exception after the run. *)
+let open_trace = function
+  | None -> Ok None
+  | Some path -> (
+    match Sink.jsonl path with
+    | sink -> Ok (Some sink)
+    | exception Sys_error e -> Error ("--trace-out: " ^ e))
 
-let finish_obs ~trace_out ~metrics_out sink metrics =
-  Option.iter Sink.close sink;
+(* The run's instrumentation: a sink fanning out to the trace file and a
+   metrics registry, plus the open --metrics-out channel. *)
+type obs = {
+  sink : Sink.t option;
+  metrics : Metrics.t option;
+  metrics_oc : (string * out_channel) option;
+}
+
+let build_obs ~trace_out ~metrics_out =
+  Result.bind (open_trace trace_out) (fun trace ->
+      match Option.map (fun path -> (path, open_out path)) metrics_out with
+      | exception Sys_error e ->
+        Option.iter Sink.close trace;
+        Error ("--metrics-out: " ^ e)
+      | metrics_oc ->
+        let metrics = Option.map (fun _ -> Metrics.create ()) metrics_oc in
+        let sinks =
+          Option.to_list trace
+          @ Option.to_list (Option.map Sink.metrics metrics)
+        in
+        let sink = match sinks with [] -> None | l -> Some (Sink.fanout l) in
+        Ok { sink; metrics; metrics_oc })
+
+let finish_obs ~trace_out obs =
+  Option.iter Sink.close obs.sink;
   Option.iter
     (fun path -> Printf.printf "trace written to %s\n" path)
     trace_out;
-  match (metrics_out, metrics) with
-  | Some path, Some m ->
-    let oc = open_out path in
+  match (obs.metrics_oc, obs.metrics) with
+  | Some (path, oc), Some m ->
     if Filename.check_suffix path ".json" then
       output_string oc (Wd_obs.Json.to_string (Metrics.to_json m))
     else output_string oc (Metrics.to_prometheus m);
@@ -295,9 +316,14 @@ let dc_cmd =
   in
   let run algorithm theta_frac workload trace scale seed epsilon sites events
       trace_out metrics_out faults_spec fault_seed =
-    match parse_faults ~fault_seed faults_spec with
+    match
+      let ( let* ) = Result.bind in
+      let* faults = parse_faults ~fault_seed faults_spec in
+      let* obs = build_obs ~trace_out ~metrics_out in
+      Ok (faults, obs)
+    with
     | Error e -> `Error (false, e)
-    | Ok faults ->
+    | Ok (faults, obs) ->
       let stream =
         match trace with
         | Some path -> load_trace path
@@ -305,9 +331,8 @@ let dc_cmd =
       in
       let theta = theta_frac *. epsilon in
       let alpha = epsilon -. theta in
-      let sink, metrics = build_obs ~trace_out ~metrics_out in
       let r =
-        Simulation.run ~seed ?sink ?metrics ~faults
+        Simulation.run ~seed ?sink:obs.sink ?metrics:obs.metrics ~faults
           (Query.dc ~theta ~alpha algorithm)
           stream
       in
@@ -347,7 +372,7 @@ let dc_cmd =
       Printf.printf "up/down asymmetry    : %.2f\n"
         (Float.of_int r.Simulation.bytes_up
         /. Float.of_int (max 1 r.Simulation.bytes_down));
-      finish_obs ~trace_out ~metrics_out sink metrics;
+      finish_obs ~trace_out obs;
       `Ok ()
   in
   let doc = "Run one distinct-count tracking simulation." in
@@ -380,17 +405,21 @@ let ds_cmd =
   in
   let run algorithm threshold theta workload trace scale seed sites events
       trace_out metrics_out faults_spec fault_seed =
-    match parse_faults ~fault_seed faults_spec with
+    match
+      let ( let* ) = Result.bind in
+      let* faults = parse_faults ~fault_seed faults_spec in
+      let* obs = build_obs ~trace_out ~metrics_out in
+      Ok (faults, obs)
+    with
     | Error e -> `Error (false, e)
-    | Ok faults ->
+    | Ok (faults, obs) ->
       let stream =
         match trace with
         | Some path -> load_trace path
         | None -> build_workload workload ~scale ~seed ~sites ~events
       in
-      let sink, metrics = build_obs ~trace_out ~metrics_out in
       let r =
-        Simulation.run ~seed ?sink ~faults
+        Simulation.run ~seed ?sink:obs.sink ~faults
           (Query.ds ~theta ~threshold algorithm)
           stream
       in
@@ -433,7 +462,7 @@ let ds_cmd =
             ~duplicates:r.Simulation.duplicates
             ~retries:r.Simulation.retries ~lost:r.Simulation.lost_updates
             faults);
-      finish_obs ~trace_out ~metrics_out sink metrics;
+      finish_obs ~trace_out obs;
       `Ok ()
   in
   let doc = "Run one distinct-sample tracking simulation." in
@@ -522,15 +551,12 @@ let run_cmd =
       let ( let* ) = Result.bind in
       let* q = Query.of_spec spec in
       let* views = parse_views views_spec in
-      let* faults =
-        Result.map_error
-          (fun e -> e)
-          (parse_faults ~fault_seed faults_spec)
-      in
-      Ok (q, views, faults)
+      let* faults = parse_faults ~fault_seed faults_spec in
+      let* obs = build_obs ~trace_out ~metrics_out in
+      Ok (q, views, faults, obs)
     with
     | Error e -> `Error (false, e)
-    | Ok (q, views, faults) -> (
+    | Ok (q, views, faults, obs) -> (
       let stream =
         match trace with
         | Some path -> load_trace path
@@ -556,10 +582,9 @@ let run_cmd =
       with
       | Error e -> `Error (false, e)
       | Ok topology -> (
-        let sink, metrics = build_obs ~trace_out ~metrics_out in
         match
-          Simulation.run ~seed ?sink ?metrics ?topology ~faults ~views q
-            stream
+          Simulation.run ~seed ?sink:obs.sink ?metrics:obs.metrics ?topology
+            ~faults ~views q stream
         with
         | exception Invalid_argument msg -> `Error (false, msg)
         | r ->
@@ -596,7 +621,7 @@ let run_cmd =
                 ~retries:r.Simulation.retries ~lost:r.Simulation.lost_updates
                 faults);
           view_report_table r.Simulation.view_reports;
-          finish_obs ~trace_out ~metrics_out sink metrics;
+          finish_obs ~trace_out obs;
           `Ok ()))
   in
   let doc =
@@ -611,12 +636,13 @@ let run_cmd =
         $ metrics_out_arg $ faults_arg $ fault_seed_arg $ topology_arg))
 
 (* ------------------------------------------------------------------ *)
-(* coord / site: the Unix-socket transport, sites as real processes *)
+(* coord / relay: the stream carrier, sites served by relay processes *)
 
 let socket_path_arg =
   let doc =
-    "Unix-domain socket path shared by the coordinator and its site relays \
-     (keep it short: the OS caps socket paths around 100 bytes)."
+    "Unix-domain socket path shared by the coordinator and its relays, \
+     used when no TCP port is given (keep it short: the OS caps socket \
+     paths around 100 bytes)."
   in
   Arg.(
     value & opt string "/tmp/wdmon.sock" & info [ "socket" ] ~docv:"PATH" ~doc)
@@ -625,33 +651,18 @@ let socket_timeout_arg =
   let doc = "Socket send/receive timeout in seconds." in
   Arg.(value & opt float 30.0 & info [ "timeout" ] ~docv:"S" ~doc)
 
-let site_cmd =
-  let site_idx_arg =
-    let doc = "This relay's 0-based site index." in
-    Arg.(required & opt (some int) None & info [ "site" ] ~docv:"I" ~doc)
-  in
-  let run path site timeout =
-    match Socket.Site.run ~timeout ~path ~site () with
-    | r ->
-      Printf.printf
-        "site %d: received %d frames / %d bytes, sent %d frames / %d bytes\n"
-        site r.Socket.frames_received r.Socket.bytes_received
-        r.Socket.frames_sent r.Socket.bytes_sent;
-      `Ok ()
-    | exception Failure msg -> `Error (false, msg)
-  in
-  let doc =
-    "Run one site relay for the socket transport: connect to a $(b,wdmon \
-     coord) process, answer its frames until told to finish, and print the \
-     relay-side byte counters."
-  in
-  Cmd.v (Cmd.info "site" ~doc)
-    Term.(ret (const run $ socket_path_arg $ site_idx_arg $ socket_timeout_arg))
+(* The carrier's address as [Transport_tcp]'s optional [?port ?path]
+   pair: the TCP port when one is given, else the socket path. *)
+let address ~port ~path =
+  match port with Some _ -> (port, None) | None -> (None, Some path)
 
 let relay_cmd =
   let port_arg =
-    let doc = "Coordinator TCP port (see $(b,wdmon coord --tcp-port))." in
-    Arg.(required & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
+    let doc =
+      "Coordinator TCP port (see $(b,wdmon coord --tcp-port)); without \
+       it the relay connects to the $(b,--socket) path."
+    in
+    Arg.(value & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc)
   in
   let first_site_arg =
     let doc = "First 0-based site index this relay serves." in
@@ -668,29 +679,30 @@ let relay_cmd =
     in
     Arg.(value & opt float 10.0 & info [ "connect-timeout" ] ~docv:"S" ~doc)
   in
-  let run port first_site count timeout connect_timeout =
+  let run port path first_site count timeout connect_timeout =
+    let port, path = address ~port ~path in
     match
-      Tcp.Relay.run ~connect_timeout ~timeout ~port ~first_site ~count ()
+      Tcp.Relay.run ~connect_timeout ~timeout ?port ?path ~first_site ~count ()
     with
     | r ->
       Printf.printf
         "relay %d+%d: received %d frames / %d bytes, sent %d frames / %d \
          bytes\n"
-        first_site count r.Socket.frames_received r.Socket.bytes_received
-        r.Socket.frames_sent r.Socket.bytes_sent;
+        first_site count r.Frame_io.frames_received r.Frame_io.bytes_received
+        r.Frame_io.frames_sent r.Frame_io.bytes_sent;
       `Ok ()
     | exception Failure msg -> `Error (false, msg)
   in
   let doc =
-    "Run one multiplexed relay for the TCP transport: connect to a \
-     $(b,wdmon coord --tcp-port) process, claim a contiguous range of \
-     sites, answer its (batched) frames until told to finish, and print \
-     the relay-side byte counters."
+    "Run one relay: connect to a $(b,wdmon coord) process on its TCP \
+     $(b,--port) or its Unix-domain $(b,--socket), claim a contiguous \
+     range of sites, answer its (batched) frames until told to finish, \
+     and print the relay-side byte counters."
   in
   Cmd.v (Cmd.info "relay" ~doc)
     Term.(
       ret
-        (const run $ port_arg $ first_site_arg $ count_arg
+        (const run $ port_arg $ socket_path_arg $ first_site_arg $ count_arg
         $ socket_timeout_arg $ connect_timeout_arg))
 
 (* Split [k] sites into [n] contiguous ranges, as evenly as possible. *)
@@ -707,7 +719,7 @@ let site_ranges ~k ~n =
 
 let coord_cmd =
   let protocol_arg =
-    let doc = "Protocol to run over the socket transport: dc (LS) or ds (LCO)." in
+    let doc = "Protocol to run over the wire: dc (LS) or ds (LCO)." in
     Arg.(
       value
       & opt (enum [ ("dc", `Dc); ("ds", `Ds) ]) `Dc
@@ -715,8 +727,8 @@ let coord_cmd =
   in
   let spawn_arg =
     let doc =
-      "Fork one site relay per site in this process's image instead of \
-       waiting for externally started $(b,wdmon site) processes."
+      "Fork the relays ($(b,--relays)) in this process's image instead of \
+       waiting for externally started $(b,wdmon relay) processes."
     in
     Arg.(value & flag & info [ "spawn" ] ~doc)
   in
@@ -742,18 +754,16 @@ let coord_cmd =
   in
   let tcp_port_arg =
     let doc =
-      "Use the multiplexed TCP transport instead of the Unix socket: \
-       listen on 127.0.0.1:$(docv) (0 picks an ephemeral port, printed at \
-       startup); sites are served by $(b,wdmon relay) processes, each \
-       carrying a contiguous range over one connection with frame \
-       batching."
+      "Listen on 127.0.0.1:$(docv) instead of the $(b,--socket) path (0 \
+       picks an ephemeral port, printed at startup)."
     in
     Arg.(value & opt (some int) None & info [ "tcp-port" ] ~docv:"PORT" ~doc)
   in
   let relays_arg =
     let doc =
-      "With $(b,--tcp-port) and $(b,--spawn): fork this many relay \
-       processes, each serving an even contiguous slice of the sites."
+      "With $(b,--spawn): fork this many relay processes, each carrying \
+       an even contiguous slice of the sites over one connection (one \
+       site each when it is at least the site count)."
     in
     Arg.(value & opt int 4 & info [ "relays" ] ~docv:"N" ~doc)
   in
@@ -772,29 +782,24 @@ let coord_cmd =
       let ( let* ) = Result.bind in
       let* faults = parse_faults ~fault_seed faults_spec in
       let* views = parse_views views_spec in
-      Ok (faults, views)
+      let* () =
+        if shards > 1 && protocol = `Ds then
+          Error "--shards applies to the dc protocol only"
+        else Ok ()
+      in
+      let* trace_sink = open_trace trace_out in
+      Ok (faults, views, trace_sink)
     with
     | Error e -> `Error (false, e)
-    | Ok _ when shards > 1 && protocol = `Ds ->
-      `Error (false, "--shards applies to the dc protocol only")
-    | Ok (faults, views) ->
+    | Ok (faults, views, trace_sink) ->
       let stream = build_workload workload ~scale ~seed ~sites ~events in
       let k = Stream.num_sites stream in
+      let port, path = address ~port:tcp_port ~path in
       let children = ref [] in
       (* Relay children: serve frames, then exit without flushing the
          parent's inherited stdout buffer. *)
-      let spawn_socket_children () =
-        children :=
-          List.init k (fun site ->
-              match Unix.fork () with
-              | 0 ->
-                (try
-                   ignore (Socket.Site.run ~path ~site () : Socket.site_report)
-                 with _ -> ());
-                Unix._exit 0
-              | pid -> pid)
-      in
-      let spawn_tcp_children port =
+      let spawn_children bound =
+        let port = Option.map (fun _ -> bound) port in
         children :=
           List.map
             (fun (first_site, count) ->
@@ -802,8 +807,8 @@ let coord_cmd =
               | 0 ->
                 (try
                    ignore
-                     (Tcp.Relay.run ~timeout ~port ~first_site ~count ()
-                       : Socket.site_report)
+                     (Tcp.Relay.run ~timeout ?port ?path ~first_site ~count ()
+                       : Frame_io.site_report)
                  with _ -> ());
                 Unix._exit 0
               | pid -> pid)
@@ -812,42 +817,28 @@ let coord_cmd =
       let reap () =
         List.iter (fun pid -> ignore (Unix.waitpid [] pid)) !children
       in
-      let connect_backend () =
-        match tcp_port with
-        | None ->
-          if spawn then spawn_socket_children ();
-          `Sock (Socket.Coordinator.connect ~timeout ~path ~sites:k ())
-        | Some port ->
-          `Tcp
-            (Tcp.Coordinator.connect ~timeout ~port ~sites:k
-               ~on_listening:(fun port ->
-                 Printf.printf "tcp: listening on 127.0.0.1:%d\n%!" port;
-                 if spawn then spawn_tcp_children port)
-               ())
+      let where bound =
+        Option.value path ~default:(Printf.sprintf "127.0.0.1:%d" bound)
       in
-      (match connect_backend () with
+      (match
+         Tcp.Coordinator.connect ~timeout ?port ?path ~sites:k
+           ~on_listening:(fun bound ->
+             Printf.printf "listening on %s\n%!" (where bound);
+             if spawn then spawn_children bound)
+           ()
+       with
       | exception Failure msg ->
         List.iter
           (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
           !children;
         reap ();
         `Error (false, msg)
-      | backend ->
-        let transport =
-          match backend with
-          | `Sock c -> Socket.Coordinator.pack c
-          | `Tcp c -> Tcp.Coordinator.pack c
-        in
-        let set_on_poll f =
-          match backend with
-          | `Sock c -> Socket.Coordinator.set_on_poll c f
-          | `Tcp c -> Tcp.Coordinator.set_on_poll c f
-        in
+      | coord ->
+        let transport = Tcp.Coordinator.pack coord in
         (* Live telemetry: a metrics registry fed by the event sink, a
            scrape endpoint polled from the coordinator's clock ticks,
            and an optional span trace. *)
         let metrics = Option.map (fun _ -> Metrics.create ()) metrics_port in
-        let trace_sink = Option.map Sink.jsonl trace_out in
         let sinks =
           Option.to_list trace_sink
           @ Option.to_list (Option.map Sink.metrics metrics)
@@ -869,7 +860,7 @@ let coord_cmd =
           (* Polled on every clock tick; throttle the accept syscall to
              one per 64 updates. *)
           let tick = ref 0 in
-          set_on_poll
+          Tcp.Coordinator.set_on_poll coord
             (Some
                (fun () ->
                  incr tick;
@@ -918,11 +909,7 @@ let coord_cmd =
           (fun path -> Printf.printf "trace written to %s\n" path)
           trace_out;
         let net = Transport.ledger transport in
-        let ws =
-          match Transport.wire_stats transport with
-          | Some ws -> ws
-          | None -> assert false (* the socket backend always reports *)
-        in
+        let ws = Option.get (Transport.wire_stats transport) in
         let extra = Wire.Frame.header_bytes - Wire.header_bytes in
         let expect_up =
           Network.bytes_up net - ws.Transport.skipped_up
@@ -933,9 +920,7 @@ let coord_cmd =
           + (ws.Transport.frames_down * extra)
         in
         let reports =
-          match backend with
-          | `Sock c -> Array.to_list (Socket.Coordinator.reports c)
-          | `Tcp c -> List.map (fun (_, _, r) -> r) (Tcp.Coordinator.reports c)
+          List.map (fun (_, _, r) -> r) (Tcp.Coordinator.reports coord)
         in
         let missing = List.length (List.filter Option.is_none reports) in
         let sum f =
@@ -943,14 +928,12 @@ let coord_cmd =
             (fun acc r -> acc + Option.fold ~none:0 ~some:f r)
             0 reports
         in
-        let relay_received = sum (fun r -> r.Socket.bytes_received) in
-        let relay_sent = sum (fun r -> r.Socket.bytes_sent) in
+        let relay_received = sum (fun r -> r.Frame_io.bytes_received) in
+        let relay_sent = sum (fun r -> r.Frame_io.bytes_sent) in
         (* Span context blocks (frames stamped when a span recorder is
            attached) are wire overhead outside wire_bytes_*; the relays'
            raw byte reports include them. *)
         let expect_received =
-          (* batch_envelopes is 0 on the socket backend, so the law is
-             uniform across carriers. *)
           ws.Transport.wire_bytes_down + ws.Transport.radio_copy_bytes
           + ws.Transport.control_bytes
           + (ws.Transport.span_frames_down * Wire.Frame.span_bytes)
@@ -966,8 +949,8 @@ let coord_cmd =
           got = want
         in
         Report.print_section
-          (Printf.sprintf "%s over the %s transport" label
-             (match backend with `Sock _ -> "socket" | `Tcp _ -> "tcp"));
+          (Printf.sprintf "%s over %s" label
+             (where (Tcp.Coordinator.port coord)));
         Report.print_kv
           ([
             ("sites", string_of_int k);
@@ -991,15 +974,10 @@ let coord_cmd =
               Printf.sprintf "%d / %d" ws.Transport.skipped_up
                 ws.Transport.skipped_down );
             ("site reconnects", string_of_int ws.Transport.reconnects);
+            ( "batch envelopes / inner frames",
+              Printf.sprintf "%d / %d" ws.Transport.batch_envelopes
+                ws.Transport.batch_inner_frames );
           ]
-          @ (match backend with
-            | `Sock _ -> []
-            | `Tcp _ ->
-              [
-                ( "batch envelopes / inner frames",
-                  Printf.sprintf "%d / %d" ws.Transport.batch_envelopes
-                    ws.Transport.batch_inner_frames );
-              ])
           @ (if shards > 1 then
                [ ("coordinator shards", string_of_int shards) ]
              else [])
@@ -1035,11 +1013,11 @@ let coord_cmd =
         else `Error (false, "ledger/wire reconciliation failed"))
   in
   let doc =
-    "Run a tracking protocol with sites as real processes — one per site \
-     over a Unix-domain socket, or multiplexed relay ranges over TCP with \
-     $(b,--tcp-port) — then reconcile the simulator byte ledger against \
-     the bytes that actually crossed the wire (exit status reflects the \
-     reconciliation)."
+    "Run a tracking protocol with sites served by relay processes, each \
+     carrying a contiguous range of sites over one connection to a \
+     Unix-domain socket or, with $(b,--tcp-port), a TCP port — then \
+     reconcile the simulator byte ledger against the bytes that actually \
+     crossed the wire (exit status reflects the reconciliation)."
   in
   Cmd.v (Cmd.info "coord" ~doc)
     Term.(
@@ -1966,7 +1944,6 @@ let () =
             hh_cmd;
             run_cmd;
             coord_cmd;
-            site_cmd;
             relay_cmd;
             eval_cmd;
             workload_cmd;

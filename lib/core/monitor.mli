@@ -67,8 +67,8 @@ val create :
 
 val close : t -> unit
 (** Close every tracker's transport ({!Wd_net.Transport.close}): a
-    no-op on simulator backends, the finish/stats exchange on socket
-    backends.  Idempotent; queries remain answerable afterwards. *)
+    no-op on simulator backends, the finish/stats exchange on the
+    stream carrier.  Idempotent; queries remain answerable afterwards. *)
 
 val config : t -> config
 

@@ -12,8 +12,8 @@ module Metrics = Wd_obs.Metrics
 module Span = Wd_obs.Span
 
 (* Attach a span recorder to the run's ledger: every message/broadcast
-   tap and tracker batch becomes a wall-clock span in the trace (and the
-   socket transport starts shipping span contexts in its frames).  The
+   tap and tracker batch becomes a wall-clock span in the trace (and a
+   wire carrier starts shipping span contexts in its frames).  The
    trace id is derived from the seed so traces of different runs can be
    aggregated without id collisions; wall stamps come from the shared
    epoch clock so they are comparable across processes on one host. *)
@@ -154,7 +154,7 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
       ?(spans = false) ?(faults = Wd_net.Faults.none) ?(shards = 1) ~algorithm
       ~theta ~alpha stream =
     let n = Stream.length stream in
-    if n = 0 then invalid_arg "Simulation.run_dc: empty stream";
+    if n = 0 then invalid_arg "Simulation.Make_dc.run: empty stream";
     let k = Stream.num_sites stream in
     let rng = Rng.create seed in
     let family =
@@ -242,24 +242,6 @@ end
 
 module Dc_fm = Make_dc (Wd_sketch.Fm)
 
-type ds_run = {
-  ds_algorithm : Ds.algorithm;
-  ds_updates : int;
-  ds_total_bytes : int;
-  ds_bytes_up : int;
-  ds_bytes_down : int;
-  ds_sends : int;
-  ds_final_level : int;
-  ds_final_sample : (int * int) list;
-  ds_distinct_estimate : float;
-  ds_bytes_series : (int * int) array;
-  ds_max_count_error : float;
-  ds_drops : int;
-  ds_duplicates : int;
-  ds_retries : int;
-  ds_lost_updates : int;
-}
-
 type pair_stream = { psites : int array; vs : int array; ws : int array }
 
 let pair_stream_length p = Array.length p.psites
@@ -278,18 +260,6 @@ let pair_stream_of_requests cfg site_view reqs =
     ws.(j) <- reqs.(j).H.client
   done;
   { psites; vs; ws }
-
-type hh_run = {
-  hh_algorithm : Dc.algorithm;
-  hh_updates : int;
-  hh_total_bytes : int;
-  hh_bytes_up : int;
-  hh_bytes_down : int;
-  hh_sends : int;
-  hh_avg_norm_error : float;
-  hh_topk_recall : float;
-  hh_exact_bytes : int;
-}
 
 let true_distinct_prefixes stream ~samples =
   let n = Stream.length stream in
@@ -434,8 +404,8 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
   let net = Tracker_intf.network tracker in
   Network.set_sink net sink;
   (* Install the tree before any traffic: the primary's trackers read it
-     through the shared ledger on every delivered contribution, so sim,
-     socket and TCP backends all route identically. *)
+     through the shared ledger on every delivered contribution, so the
+     simulator and the wire carrier route identically. *)
   Option.iter (fun topo -> Network.set_topology net topo) topology;
   attach_spans ~spans ?metrics ~seed ~sink net;
   if not is_window then
@@ -697,95 +667,4 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     lost_updates = Tracker_intf.lost_updates tracker;
     aux;
     view_reports;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Legacy entry points, kept as wrappers over {!run}. *)
-
-let run_dc ?cost_model ?transport ?item_batching ?seed ?checkpoints
-    ?error_samples ?confidence ?sink ?metrics ?spans ?faults ?shards ~algorithm
-    ~theta ~alpha stream =
-  if Stream.length stream = 0 then
-    invalid_arg "Simulation.run_dc: empty stream";
-  let r =
-    run ?cost_model ?transport ?item_batching ?seed ?checkpoints
-      ?error_samples ?sink ?metrics ?spans ?faults ?shards
-      (Query.dc ?confidence ~theta ~alpha algorithm)
-      stream
-  in
-  {
-    dc_algorithm = algorithm;
-    dc_updates = r.updates;
-    dc_total_bytes = r.total_bytes;
-    dc_bytes_up = r.bytes_up;
-    dc_bytes_down = r.bytes_down;
-    dc_sends = r.sends;
-    dc_final_estimate = r.final_estimate;
-    dc_final_truth = r.final_truth;
-    dc_bytes_series = r.bytes_series;
-    dc_error_series = r.error_series;
-    dc_drops = r.drops;
-    dc_duplicates = r.duplicates;
-    dc_retries = r.retries;
-    dc_lost_updates = r.lost_updates;
-  }
-
-let run_ds ?cost_model ?transport ?seed ?checkpoints ?sink ?spans ?faults
-    ~algorithm ~theta ~threshold stream =
-  if Stream.length stream = 0 then
-    invalid_arg "Simulation.run_ds: empty stream";
-  let r =
-    run ?cost_model ?transport ?seed ?checkpoints ?sink ?spans ?faults
-      (Query.ds ~theta ~threshold algorithm)
-      stream
-  in
-  let level, sample, max_count_error =
-    match r.aux with
-    | Ds_aux { level; sample; max_count_error } ->
-      (level, sample, max_count_error)
-    | _ -> assert false
-  in
-  {
-    ds_algorithm = algorithm;
-    ds_updates = r.updates;
-    ds_total_bytes = r.total_bytes;
-    ds_bytes_up = r.bytes_up;
-    ds_bytes_down = r.bytes_down;
-    ds_sends = r.sends;
-    ds_final_level = level;
-    ds_final_sample = sample;
-    ds_distinct_estimate = r.final_estimate;
-    ds_bytes_series = r.bytes_series;
-    ds_max_count_error = max_count_error;
-    ds_drops = r.drops;
-    ds_duplicates = r.duplicates;
-    ds_retries = r.retries;
-    ds_lost_updates = r.lost_updates;
-  }
-
-let run_hh ?cost_model ?transport ?item_batching ?seed ?top_k ~algorithm
-    ~theta ~config p =
-  if pair_stream_length p = 0 then
-    invalid_arg "Simulation.run_hh: empty pair stream";
-  let r =
-    run ?cost_model ?transport ?item_batching ?seed ?top_k
-      (Query.hh ~config ~theta algorithm)
-      (stream_of_pairs p)
-  in
-  let avg_norm_error, topk_recall, exact_bytes =
-    match r.aux with
-    | Hh_aux { avg_norm_error; topk_recall; exact_bytes } ->
-      (avg_norm_error, topk_recall, exact_bytes)
-    | _ -> assert false
-  in
-  {
-    hh_algorithm = algorithm;
-    hh_updates = r.updates;
-    hh_total_bytes = r.total_bytes;
-    hh_bytes_up = r.bytes_up;
-    hh_bytes_down = r.bytes_down;
-    hh_sends = r.sends;
-    hh_avg_norm_error = avg_norm_error;
-    hh_topk_recall = topk_recall;
-    hh_exact_bytes = exact_bytes;
   }

@@ -16,9 +16,7 @@ module Stream = Wd_workload.Stream
     {!Wd_view.Query} standing queries.  [run query stream] compiles the
     query (plus any satellite [views]) into a {!Wd_view.Registry},
     drives the whole stream through it, and reports cost and accuracy
-    against ground truth maintained harness-side.  The legacy
-    [run_dc]/[run_ds]/[run_hh] entry points below are thin wrappers and
-    produce bit-identical results for the queries they can express. *)
+    against ground truth maintained harness-side. *)
 
 type view_report = {
   view_label : string;
@@ -119,15 +117,40 @@ val run :
     satellite [views], all sharing the single feed pass.
 
     The primary [query] receives [transport], [sink] and [shards], and
-    its byte ledger supplies the run's cost fields — exactly as the
-    legacy per-protocol entry points did.  Satellites run on private
-    in-process simulator transports (per-view costs are in
+    its byte ledger supplies the run's cost fields.  Satellites run on
+    private in-process simulator transports (per-view costs are in
     [view_reports]).  A view's hash seed defaults to [seed + index], so
     the primary reproduces a standalone run at [seed] bit-for-bit.
 
-    [faults] applies to the primary's transport (window queries reject
-    enabled fault plans — they have no transport); satellite trackers
-    see the full arrival stream either way.  [top_k] sizes the HH
+    [transport] supplies the primary's communication backend
+    ({!Wd_net.Transport}): the default is a fresh in-process simulator
+    with [cost_model], and a {!Wd_net.Transport_tcp} carrier runs the
+    same protocol over relay processes.  The run closes the transport
+    on completion ({!Wd_net.Transport.close} — a no-op for the
+    simulator, the finish/stats exchange for the carrier).
+
+    [sink] is attached to the primary's tracker (protocol events) and
+    its byte ledger (message events), and receives a [Run_meta] header;
+    the default null sink adds no overhead.  [metrics] additionally
+    records harness-side accuracy instruments
+    ([wd_estimate_rel_error], [wd_true_distinct]) at the error-sample
+    positions.  [spans] (default [false]) attaches a {!Wd_obs.Span}
+    recorder to the ledger: every message, broadcast and tracker batch
+    becomes a wall-clock span event (trace id derived from [seed]), and
+    a wire carrier ships span contexts in its frames, timing real
+    cross-process round trips.  Span events are never bit-stable across
+    runs — leave this off for golden traces.
+
+    [faults] (default {!Wd_net.Faults.none}) attaches a fault-injection
+    plan to the primary's transport — per-link drop/duplicate/corruption
+    and scheduled site crashes, with the tracker's recovery machinery
+    engaged — and the run record carries the fault counters (window
+    queries reject enabled fault plans — they have no transport);
+    satellite trackers see the full arrival stream either way.
+    [shards] (default 1) > 1 routes a DC coordinator's global sketch
+    merges through that many OCaml 5 worker domains
+    ({!Wd_protocol.Sharded}); the estimates equal the single-domain run
+    by the sketch merge laws.  [top_k] sizes the HH
     evaluation ([default 20]).  HH queries expect a stream of
     {!Wd_view.Query.pack_pair}ed [(v, w)] keys — see
     {!stream_of_pairs}.
@@ -166,67 +189,10 @@ type dc_run = {
           are excluded from [dc_final_truth] too *)
 }
 
-val run_dc :
-  ?cost_model:Wd_net.Network.cost_model ->
-  ?transport:Wd_net.Transport.t ->
-  ?item_batching:bool ->
-  ?seed:int ->
-  ?checkpoints:int ->
-  ?error_samples:int ->
-  ?confidence:float ->
-  ?sink:Wd_obs.Sink.t ->
-  ?metrics:Wd_obs.Metrics.t ->
-  ?spans:bool ->
-  ?faults:Wd_net.Faults.plan ->
-  ?shards:int ->
-  algorithm:Wd_protocol.Dc_tracker.algorithm ->
-  theta:float ->
-  alpha:float ->
-  Stream.t ->
-  dc_run
-[@@ocaml.deprecated "Use Simulation.run with a Wd_view.Query.dc query."]
-(** [run_dc ~algorithm ~theta ~alpha stream] runs one protocol over the
-    whole stream.  [alpha] sizes the FM family; [confidence] defaults to
-    0.9 ([delta = 0.1], as in all paper experiments); [checkpoints]
-    (default 20) and [error_samples] (default 200) control the series
-    resolutions.  The site count is [Stream.num_sites stream].
-
-    [sink] is attached to both the tracker (protocol events) and its byte
-    ledger (message events), and receives a [Run_meta] header; the
-    default null sink adds no overhead.  [metrics] additionally records
-    harness-side accuracy instruments ([wd_estimate_rel_error],
-    [wd_true_distinct]) at the error-sample positions — combine with
-    {!Wd_obs.Sink.metrics} over the same registry to collect traffic
-    metrics in one place.
-
-    [spans] (default [false]) attaches a {!Wd_obs.Span} recorder to the
-    run's ledger: every message, broadcast and tracker batch is emitted
-    to [sink] as a wall-clock {!Wd_obs.Event.kind.Span} event (trace id
-    derived from [seed]), and a socket transport starts shipping span
-    contexts in its frames, timing real cross-process round trips.
-    Span events carry wall-clock stamps and are therefore never
-    bit-stable across runs — leave this off for golden traces.
-
-    [faults] (default {!Wd_net.Faults.none}) attaches a fault-injection
-    plan to the tracker's network: per-link drop/duplicate/corruption and
-    scheduled site crashes, with the tracker's recovery machinery (acked
-    retries, crash resync) engaged.  The run record then carries the
-    fault counters.
-
-    [transport] supplies the tracker's communication backend
-    ({!Wd_net.Transport}): the default is a fresh in-process simulator
-    with [cost_model], and a {!Wd_net.Transport_socket} backend runs the
-    same protocol over per-site relay processes.  The run closes the
-    transport on completion ({!Wd_net.Transport.close} — a no-op for the
-    simulator, the finish/stats exchange for sockets).
-
-    [shards] (default 1) > 1 routes the coordinator's global sketch
-    merges through that many OCaml 5 worker domains
-    ({!Wd_protocol.Sharded}); the published estimates are equal to the
-    single-domain run by the sketch merge laws.  Not applicable to [EC]. *)
-
-(** Generic variant over any {!Wd_sketch.Sketch_intf.DISTINCT_SKETCH} —
-    used by the sketch-type ablation. *)
+(** A distinct-count run over any
+    {!Wd_sketch.Sketch_intf.DISTINCT_SKETCH} with an explicit sketch
+    family — used by the sketch-type ablation and the eval grid's
+    non-FM cells. *)
 module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
   val run :
     ?cost_model:Wd_net.Network.cost_model ->
@@ -247,57 +213,24 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
     alpha:float ->
     Stream.t ->
     dc_run
-  (** Like {!run_dc}; [family] overrides the [(alpha, confidence)]-derived
-      sketch family. *)
+  (** [run ~algorithm ~theta ~alpha stream] runs one protocol over the
+      whole stream.  [alpha] sizes the sketch family unless [family]
+      overrides it; [confidence] defaults to 0.9 ([delta = 0.1], as in
+      all paper experiments); [checkpoints] (default 20) and
+      [error_samples] (default 200) control the series resolutions.
+      The site count is [Stream.num_sites stream].
+
+      [sink], [metrics], [spans], [faults], [transport] and [shards]
+      behave as in the unified [run] above: the transport defaults to a
+      fresh in-process simulator with [cost_model] and is closed when
+      the run completes; [shards > 1] is not applicable to [EC]. *)
 end
 
 module Dc_fm : module type of Make_dc (Wd_sketch.Fm)
-(** The FM instantiation backing {!run_dc}, exposed for runs that need an
-    explicit FM family (e.g. the averaged-variant ablation). *)
+(** The FM instantiation, exposed for runs that need an explicit FM
+    family (e.g. the averaged-variant ablation). *)
 
-(** {1 Distinct-sample runs} *)
-
-type ds_run = {
-  ds_algorithm : Wd_protocol.Ds_tracker.algorithm;
-  ds_updates : int;
-  ds_total_bytes : int;
-  ds_bytes_up : int;
-  ds_bytes_down : int;
-  ds_sends : int;
-  ds_final_level : int;
-  ds_final_sample : (int * int) list;
-  ds_distinct_estimate : float;
-  ds_bytes_series : (int * int) array;
-  ds_max_count_error : float;
-      (** max over the final sample of the relative error of the tracked
-          count vs the item's exact global count (Lemma 2 bounds this by
-          [theta] for the approximate algorithms); with faults, exact
-          counts exclude arrivals discarded at crashed sites *)
-  ds_drops : int;
-  ds_duplicates : int;
-  ds_retries : int;
-  ds_lost_updates : int;
-}
-
-val run_ds :
-  ?cost_model:Wd_net.Network.cost_model ->
-  ?transport:Wd_net.Transport.t ->
-  ?seed:int ->
-  ?checkpoints:int ->
-  ?sink:Wd_obs.Sink.t ->
-  ?spans:bool ->
-  ?faults:Wd_net.Faults.plan ->
-  algorithm:Wd_protocol.Ds_tracker.algorithm ->
-  theta:float ->
-  threshold:int ->
-  Stream.t ->
-  ds_run
-[@@ocaml.deprecated "Use Simulation.run with a Wd_view.Query.ds query."]
-(** [sink] is attached to the tracker and its byte ledger; [spans],
-    [faults] and [transport] behave as in [run_dc] (the transport is
-    closed when the run completes). *)
-
-(** {1 Distinct heavy-hitter runs} *)
+(** {1 Distinct heavy-hitter pair streams} *)
 
 type pair_stream = { psites : int array; vs : int array; ws : int array }
 (** A multi-site stream of [(v, w)] pairs. *)
@@ -317,39 +250,6 @@ val stream_of_pairs : pair_stream -> Stream.t
 (** The pair stream as a single-item stream of
     {!Wd_view.Query.pack_pair}ed keys — the form {!run} consumes for HH
     queries.  Requires [0 <= v, w < 2^31]. *)
-
-type hh_run = {
-  hh_algorithm : Wd_protocol.Dc_tracker.algorithm;
-  hh_updates : int;
-  hh_total_bytes : int;
-  hh_bytes_up : int;
-  hh_bytes_down : int;
-  hh_sends : int;
-  hh_avg_norm_error : float;
-      (** mean over the exact top-[k] keys of
-          [|estimate - d_v| / distinct_pairs] — the paper reports this
-          normalized estimation error ("< 0.1%") *)
-  hh_topk_recall : float;
-      (** fraction of the exact top-[k] keys present in the estimated
-          top-[k] *)
-  hh_exact_bytes : int;
-      (** EC baseline on the same pair stream: one message per locally new
-          pair *)
-}
-
-val run_hh :
-  ?cost_model:Wd_net.Network.cost_model ->
-  ?transport:Wd_net.Transport.t ->
-  ?item_batching:bool ->
-  ?seed:int ->
-  ?top_k:int ->
-  algorithm:Wd_protocol.Dc_tracker.algorithm ->
-  theta:float ->
-  config:Wd_aggregate.Fm_array.config ->
-  pair_stream ->
-  hh_run
-[@@ocaml.deprecated
-  "Use Simulation.run with a Wd_view.Query.hh query over stream_of_pairs."]
 
 (** {1 Ground truth helpers} *)
 

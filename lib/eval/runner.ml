@@ -10,7 +10,6 @@ module Http = Wd_workload.Http_trace
 module Dc = Wd_protocol.Dc_tracker
 module Ds = Wd_protocol.Ds_tracker
 module W = Wd_protocol.Window_tracker
-module Socket = Wd_net.Transport_socket
 module Tcp = Wd_net.Transport_tcp
 module Metrics = Wd_obs.Metrics
 module Sink = Wd_obs.Sink
@@ -111,36 +110,14 @@ let sketch_wire_bytes (cell : Spec.cell) ~seed (stream : Stream.t) =
   | Spec.Hll -> measure (module Wd_sketch.Hyperloglog)
   | Spec.Fmc -> measure (module Wd_sketch.Fm_concentrated)
 
-(* Run [f transport] with one forked relay process per site, wdmon
-   coord --spawn style: children serve frames until the run closes the
-   transport, then exit without flushing the parent's inherited stdout
-   buffer.  Any child still alive after [f] (or an exception) is
-   killed before reaping. *)
-let with_socket_sites ~dir ~sites ~seed f =
-  let path = Printf.sprintf "%s/wde-%d-%d.sock" dir (Unix.getpid ()) seed in
-  let children =
-    List.init sites (fun site ->
-      match Unix.fork () with
-      | 0 ->
-        (try ignore (Socket.Site.run ~path ~site () : Socket.site_report)
-         with _ -> ());
-        Unix._exit 0
-      | pid -> pid)
-  in
-  let reap () =
-    List.iter
-      (fun pid ->
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      children
-  in
-  Fun.protect ~finally:reap (fun () ->
-    let coord = Socket.Coordinator.connect ~timeout:30.0 ~path ~sites () in
-    f (Socket.Coordinator.pack coord))
-
-(* Same shape for the TCP backend: multiplexed relay processes, two
-   sites each, forked once the listener has its (ephemeral) port. *)
-let with_tcp_relays ~sites f =
+(* Run [f transport] over the stream carrier, wdmon coord --spawn
+   style: relay processes of [per_relay] contiguous sites each, forked
+   once the listener is up, at the Unix-domain [path] or (without one)
+   an ephemeral loopback TCP port.  Children serve frames until the run
+   closes the transport, then exit without flushing the parent's
+   inherited stdout buffer.  Any child still alive after [f] (or an
+   exception) is killed before reaping. *)
+let with_relays ?path ~per_relay ~sites f =
   let children = ref [] in
   let reap () =
     List.iter
@@ -153,15 +130,17 @@ let with_tcp_relays ~sites f =
     let rec go first acc =
       if first >= sites then List.rev acc
       else
-        let count = min 2 (sites - first) in
+        let count = min per_relay (sites - first) in
         go (first + count) ((first, count) :: acc)
     in
     go 0 []
   in
+  let port = if path = None then Some 0 else None in
   Fun.protect ~finally:reap (fun () ->
     let coord =
-      Tcp.Coordinator.connect ~timeout:30.0 ~port:0 ~sites
-        ~on_listening:(fun port ->
+      Tcp.Coordinator.connect ~timeout:30.0 ?port ?path ~sites
+        ~on_listening:(fun bound ->
+          let port = Option.map (fun _ -> bound) port in
           children :=
             List.map
               (fun (first_site, count) ->
@@ -169,7 +148,7 @@ let with_tcp_relays ~sites f =
                 | 0 ->
                   (try
                      ignore
-                       (Tcp.Relay.run ~port ~first_site ~count ()
+                       (Tcp.Relay.run ?port ?path ~first_site ~count ()
                          : Wd_net.Frame_io.site_report)
                    with _ -> ());
                   Unix._exit 0
@@ -535,6 +514,22 @@ let yzq_rep (cell : Spec.cell) ~seed ?sink ?spans stream =
     bound,
     opt_lb )
 
+(* One repetition of a wire cell: socket cells keep one relay process
+   per site on a Unix path, tcp cells multiplex two sites per relay over
+   loopback. *)
+let on_wire cfg (cell : Spec.cell) ~seed rep =
+  let stream = build_stream cell ~seed in
+  let path, per_relay =
+    match cell.transport with
+    | Spec.Socket ->
+      ( Some
+          (Printf.sprintf "%s/wde-%d-%d.sock" cfg.socket_dir (Unix.getpid ())
+             seed),
+        1 )
+    | Spec.Sim | Spec.Tcp -> (None, 2)
+  in
+  with_relays ?path ~per_relay ~sites:(Stream.num_sites stream) (rep stream)
+
 let run_rep cfg (cell : Spec.cell) ~seed ?sink ?spans () =
   match (cell.protocol, cell.transport) with
   | Spec.Hh _, Spec.Sim -> hh_rep cfg cell ~seed
@@ -544,21 +539,11 @@ let run_rep cfg (cell : Spec.cell) ~seed ?sink ?spans () =
     dc_rep cfg cell ~seed ?sink ?spans (build_stream cell ~seed)
   | Spec.Ds _, Spec.Sim ->
     ds_rep cfg cell ~seed ?sink ?spans (build_stream cell ~seed)
-  | Spec.Dc _, Spec.Socket ->
-    let stream = build_stream cell ~seed in
-    with_socket_sites ~dir:cfg.socket_dir ~sites:(Stream.num_sites stream)
-      ~seed (fun transport -> dc_rep cfg cell ~seed ~transport ?sink ?spans stream)
-  | Spec.Ds _, Spec.Socket ->
-    let stream = build_stream cell ~seed in
-    with_socket_sites ~dir:cfg.socket_dir ~sites:(Stream.num_sites stream)
-      ~seed (fun transport -> ds_rep cfg cell ~seed ~transport ?sink ?spans stream)
-  | Spec.Dc _, Spec.Tcp ->
-    let stream = build_stream cell ~seed in
-    with_tcp_relays ~sites:(Stream.num_sites stream) (fun transport ->
+  | Spec.Dc _, (Spec.Socket | Spec.Tcp) ->
+    on_wire cfg cell ~seed (fun stream transport ->
         dc_rep cfg cell ~seed ~transport ?sink ?spans stream)
-  | Spec.Ds _, Spec.Tcp ->
-    let stream = build_stream cell ~seed in
-    with_tcp_relays ~sites:(Stream.num_sites stream) (fun transport ->
+  | Spec.Ds _, (Spec.Socket | Spec.Tcp) ->
+    on_wire cfg cell ~seed (fun stream transport ->
         ds_rep cfg cell ~seed ~transport ?sink ?spans stream)
   | Spec.Yz_hh, Spec.Sim ->
     yzhh_rep cell ~seed ?sink ?spans (build_stream cell ~seed)

@@ -31,7 +31,7 @@ val default_config : config
     system temp dir, silent, no metrics. *)
 
 val run_cell : config -> Spec.cell -> Artifact.cell_result
-(** Raises [Failure] on malformed fault specs and on socket cells for
-    protocol families without a socket backend (HH, windows). *)
+(** Raises [Failure] on malformed fault specs and on socket or tcp cells
+    for protocol families without a wire backend (HH, windows, YZ). *)
 
 val run_grid : ?name:string -> config -> Spec.cell list -> Artifact.t

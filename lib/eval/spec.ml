@@ -145,9 +145,10 @@ let small_alphas = [ 0.05; 0.1; 0.2 ]
    (represented by LS, the paper's winner) spans the full sketch axis.
    The concentrated-hashing FM family runs at every alpha, and the MLE
    estimator rides along on one cell per sketch family that supports it
-   at the default alpha.  One Unix-socket smoke cell and one
-   multiplexed-TCP smoke cell ride along so both wire paths are
-   exercised by every eval run. *)
+   at the default alpha.  Two smoke cells run the stream carrier, one
+   over a Unix-domain path with a relay process per site and one over
+   TCP with two sites per relay, so both addresses are exercised by
+   every eval run. *)
 let small () =
   let dc_cells =
     List.concat_map

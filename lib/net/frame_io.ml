@@ -78,9 +78,6 @@ let read_frame ?spans fd =
     read_exact fd payload 0 h.F.length;
     Ok (h, span, payload)
 
-let frame_error ~backend what e =
-  failwith (Printf.sprintf "%s: %s: %s" backend what (F.error_to_string e))
-
 let set_timeouts fd timeout =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout

@@ -1,8 +1,8 @@
-(** Blocking {!Wire.Frame} I/O over file descriptors, shared by the
-    socket and TCP transport backends: exact reads/writes, one-buffer
-    frame construction (plain and span-stamped), the [Reject] helper,
-    and the fixed-layout [Stats] report both relays answer [Finish]
-    with. *)
+(** Blocking {!Wire.Frame} I/O over file descriptors, used by both
+    halves of the stream carrier ({!Transport_tcp}): exact
+    reads/writes, one-buffer frame construction (plain and
+    span-stamped), the [Reject] helper, and the fixed-layout [Stats]
+    report a relay answers [Finish] with. *)
 
 type site_report = {
   frames_received : int;  (** [Deliver] + [Request_up] frames seen *)
@@ -51,10 +51,6 @@ val read_frame :
     [spans], header decoding is additionally timed into the
     ["frame.decode"] histogram.  Raises [End_of_file] on a closed
     peer. *)
-
-val frame_error : backend:string -> string -> Wire.Frame.error -> 'a
-(** Raise [Failure] naming the backend, the operation and the typed
-    decode error. *)
 
 val set_timeouts : Unix.file_descr -> float -> unit
 (** Arm SO_RCVTIMEO and SO_SNDTIMEO so every blocking operation on the

@@ -188,7 +188,7 @@ let note_up_delivered t ~node ~bytes =
    ledger, never steer it — no randomness, no counter writes — so an
    installed tap cannot perturb a run.  With a span recorder attached,
    each charged copy becomes a span wrapped around the tap call — under
-   the socket transport the tap is where the real I/O happens, so the
+   the stream carrier the tap is where the real I/O happens, so the
    span measures the wire, and any spans the transport emits inside it
    (request/reply halves) become its children via [current_parent]. *)
 let[@inline] tap_timed t ~name ~site run =

@@ -172,7 +172,7 @@ val set_spans : t -> Wd_obs.Span.t option -> unit
 (** Attach (or detach) a span recorder (default none).  With a recorder
     attached, every charged message copy and broadcast becomes a
     {!Wd_obs.Event.kind.Span} wrapped around the tap call — under the
-    socket transport the tap is where the real I/O happens, so the span
+    stream carrier the tap is where the real I/O happens, so the span
     measures the wire.  The recorder is also the attachment point the
     transports and trackers read ({!spans}) to stamp their own spans, so
     one [set_spans] call turns on span timing for the whole stack. *)

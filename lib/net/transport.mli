@@ -11,13 +11,15 @@
     - {!Transport_sim}: the in-process simulator.  The carrier is the
       ledger itself; nothing else happens.  Byte-for-byte identical to
       calling {!Network} directly.
-    - {!Transport_socket}: each site is a separate OS process connected
-      over a Unix-domain socket, speaking the length-prefixed,
-      version-tagged {!Wire.Frame} format.  The carrier installs a
-      {!Network.tap} so that every byte the ledger charges is realized
-      as a real frame written to (or read from) a socket, and exposes
-      {!wire_stats} so tests can reconcile the ledger against bytes that
-      actually crossed the wire.
+    - {!Transport_tcp}: the stream carrier.  Sites are served by relay
+      processes connected over a loopback TCP port or a Unix-domain
+      socket path, each connection carrying a contiguous range of
+      sites, speaking the length-prefixed, version-tagged {!Wire.Frame}
+      format.  The carrier installs a {!Network.tap} so that every byte
+      the ledger charges is realized as a real frame written to (or
+      read from) a socket, and exposes {!wire_stats} so tests can
+      reconcile the ledger against bytes that actually crossed the
+      wire.
 
     Because the delivery logic lives in the shared ledger and carriers
     only {e realize} its decisions, a fixed-seed run produces identical
@@ -25,12 +27,12 @@
     equivalence is by construction, and [test_transport.ml] pins it.
 
     Construction is backend-specific ([Transport_sim.create],
-    [Transport_socket.Coordinator.connect]); the signature covers the
+    [Transport_tcp.Coordinator.connect]); the signature covers the
     {e running} transport: sending, clock/crash hooks, accounting reads,
     and teardown. *)
 
 type wire_stats = {
-  frames_up : int;  (** [Up] frames read off site sockets *)
+  frames_up : int;  (** [Up] frames read off relay connections *)
   frames_down : int;  (** [Deliver] frames written (one per ledger charge) *)
   wire_bytes_up : int;  (** on-wire bytes of those [Up] frames *)
   wire_bytes_down : int;  (** on-wire bytes of those [Deliver] frames *)
@@ -40,10 +42,10 @@ type wire_stats = {
       (** extra per-site copies of {!Network.Radio_broadcast} frames
           beyond the single ledger-charged transmission *)
   skipped_up : int;
-      (** ledger bytes charged up while the site's socket was closed
-          (crash window), so no frame was exchanged; ledger units *)
+      (** ledger bytes charged up while the site was detached (crash
+          window), so no frame was exchanged; ledger units *)
   skipped_down : int;  (** same, down direction; ledger units *)
-  reconnects : int;  (** site sockets re-accepted after a crash window *)
+  reconnects : int;  (** sites reattached after a crash window *)
   span_frames_up : int;
       (** frames read that carried a {!Wire.Frame.span} context block;
           0 unless a span recorder was attached to the ledger *)
@@ -51,8 +53,8 @@ type wire_stats = {
       (** frames written with a span context block (delivers, radio
           copies and [Request_up] control frames alike) *)
   batch_envelopes : int;
-      (** {!Wire.Frame.Batch} envelopes written (TCP backend flushes);
-          0 on carriers that write every frame individually *)
+      (** {!Wire.Frame.Batch} envelopes written (one per flush of a
+          connection's buffered delivers) *)
   batch_inner_frames : int;
       (** frames carried inside those envelopes; each is also counted in
           [frames_down]/[radio_copy_bytes] as if written alone *)
@@ -69,7 +71,7 @@ type wire_stats = {
     [span_frames_* * Wire.Frame.span_bytes] in each direction, which is
     how the relays' raw byte reports reconcile when spans are on.
     Batch envelopes are the same kind of overhead in the down direction:
-    a batching carrier's raw traffic additionally includes
+    the carrier's raw traffic additionally includes
     [batch_envelopes * Wire.Frame.header_bytes], while the inner frames
     keep their stand-alone accounting in [frames_down] /
     [wire_bytes_down] / [radio_copy_bytes]. *)
@@ -77,12 +79,12 @@ type wire_stats = {
 (** Interface every transport backend implements.  Everything except
     {!S.set_time}, {!S.close} and {!S.wire_stats} is semantically fixed
     by the backend's {!S.ledger}; backends differ in what {e else}
-    happens (frames on a wire, socket lifecycle over crash windows). *)
+    happens (frames on a wire, sites detached over crash windows). *)
 module type S = sig
   type t
 
   val name : string
-  (** Backend name for traces and errors, e.g. ["sim"], ["socket"]. *)
+  (** Backend name for traces and errors, e.g. ["sim"], ["tcp"]. *)
 
   val ledger : t -> Network.t
   (** The byte ledger this backend charges.  Shared accounting — and
@@ -98,8 +100,8 @@ module type S = sig
   (** {2 Clock and faults}
 
       [set_time] is the crash hook: wire-backed carriers evaluate crash
-      windows here, closing a crashed site's socket at window entry and
-      re-accepting its reconnection at window exit. *)
+      windows here, detaching a crashed site at window entry and
+      reattaching it at window exit. *)
 
   val set_time : t -> int -> unit
   val time : t -> int
@@ -129,13 +131,13 @@ module type S = sig
   (** {2 Teardown and wire accounting} *)
 
   val close : t -> unit
-  (** Tear the transport down: a no-op for the simulator; for the socket
-      backend, finish every site (collecting its final counters) and
+  (** Tear the transport down: a no-op for the simulator; for the stream
+      carrier, finish every relay (collecting its final counters) and
       close all sockets.  Idempotent. *)
 
   val wire_stats : t -> wire_stats option
-  (** [None] for purely simulated carriers; [Some] once a wire-backed
-      carrier can report (socket backend: always). *)
+  (** [None] for purely simulated carriers; [Some] for a wire-backed
+      carrier. *)
 end
 
 type t = Packed : (module S with type t = 'a) * 'a -> t
@@ -188,7 +190,7 @@ module type CARRIER = sig
 
   val on_time : t -> int -> unit
   (** Called by [set_time] {e after} the ledger clock has advanced; the
-      socket carrier manages crash-window socket lifecycle here. *)
+      stream carrier detaches and reattaches crashed sites here. *)
 
   val close : t -> unit
   val wire_stats : t -> wire_stats option

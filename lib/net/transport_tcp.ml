@@ -2,7 +2,52 @@ module F = Wire.Frame
 module Span = Wd_obs.Span
 open Frame_io
 
-let frame_error what e = Frame_io.frame_error ~backend:"transport_tcp" what e
+(* Raise [Failure] naming the operation and the typed decode error. *)
+let frame_error what e =
+  failwith (Printf.sprintf "transport_tcp: %s: %s" what (F.error_to_string e))
+
+(* ------------------------------------------------------------------ *)
+(* Addresses: the only code that differs between a TCP port and a
+   Unix-domain path is [sockaddr], [listen], [unlink] and the port the
+   coordinator reports; everything that moves frames is shared. *)
+
+type address = Port of int | Path of string
+
+let address ~fn ?port ?path () =
+  match (port, path) with
+  | Some port, None -> Port port
+  | None, Some path -> Path path
+  | _ -> invalid_arg (fn ^ ": give exactly one of ~port and ~path")
+
+let sockaddr ~host = function
+  | Port port ->
+    (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+  | Path path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
+
+(* A path outlives its listener; remove a stale one before binding and
+   ours at close. *)
+let unlink = function
+  | Port _ -> ()
+  | Path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+
+(* Bind and listen on loopback or on the path; returns the listener and
+   the bound address (a [Port 0] request resolved to its ephemeral
+   port). *)
+let listen address ~backlog ~timeout =
+  unlink address;
+  let domain, addr = sockaddr ~host:"127.0.0.1" address in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  try
+    Unix.setsockopt fd Unix.SO_REUSEADDR true;
+    Unix.bind fd addr;
+    Unix.listen fd backlog;
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, port) -> (fd, Port port)
+    | Unix.ADDR_UNIX _ -> (fd, address)
+  with e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
 
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
@@ -25,7 +70,7 @@ type coord = {
   timeout : float;
   flush_bytes : int;
   listen_fd : Unix.file_descr;
-  port : int;
+  address : address;  (* as bound *)
   evloop : Evloop.t;
   mutable conns : conn list; (* accept order *)
   site_conn : conn option array;
@@ -118,11 +163,14 @@ let medium_broadcast t ~payload =
   if !wrote = 0 then t.skipped_down <- t.skipped_down + Wire.message ~payload
 
 (* Synchronous Request_up -> Up round trip, multiplexed: the connection
-   is flushed first so TCP ordering guarantees the relay has consumed
+   is flushed first so stream ordering guarantees the relay has consumed
    every buffered Deliver before it answers, and the reply is therefore
-   the next frame on this connection.  Span plumbing is identical to the
-   socket backend: request ships context + send stamp, the relay echoes
-   ids with its receive/send stamps, two spans come out. *)
+   the next frame on this connection.  With a recorder attached the
+   request ships a span context (fresh id, parented under the ledger's
+   open message span) plus the send stamp; the relay echoes the ids with
+   its own receive/send stamps, and two spans come out: the relay's half
+   ([relay.turnaround], stamped in the other process) as a child of the
+   full round trip ([request_up], stamped here). *)
 let request_up t ~site ~payload =
   if t.down.(site) then t.skipped_up <- t.skipped_up + Wire.message ~payload
   else begin
@@ -201,12 +249,11 @@ let request_up t ~site ~payload =
            h.F.site h.F.length)
   end
 
-(* Crash windows on a multiplexed connection are logical detaches: the
-   socket stays open (it carries the relay's other sites), charges
-   against a down site are recorded as skipped exactly like the socket
-   backend's closed-socket case, and window exit counts a reconnect
-   without socket churn.  The scan only runs when the plan can crash at
-   all, so a clean k=1000 run pays nothing per tick. *)
+(* Crash windows are logical detaches: the connection stays open (it
+   may carry the relay's other sites), charges against a down site are
+   recorded as skipped, and window exit counts a reconnect without
+   socket churn.  The scan only runs when the plan can crash at all, so
+   a clean k=1000 run pays nothing per tick. *)
 let on_time t time =
   let plan = Network.faults t.net in
   if Faults.has_crashes plan then
@@ -247,7 +294,8 @@ let close t =
     t.closed <- true;
     Network.set_tap t.net None;
     List.iter (finish_conn t) t.conns;
-    try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    unlink t.address
   end
 
 let wire_stats t =
@@ -338,33 +386,26 @@ let accept_handshake t ~claimed =
       end
     end
 
+(* The port a TCP listener is bound to; 0 on a path. *)
+let bound_port t = match t.address with Port port -> port | Path _ -> 0
+
 module Coordinator = struct
   include Backend
 
   let connect ?cost_model ?(timeout = 30.) ?(flush_bytes = 8192)
-      ?on_listening ~port ~sites () =
-    ignore_sigpipe ();
-    let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    let port =
-      try
-        Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-        Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        Unix.listen listen_fd (sites + 8);
-        Unix.setsockopt_float listen_fd Unix.SO_RCVTIMEO timeout;
-        match Unix.getsockname listen_fd with
-        | Unix.ADDR_INET (_, port) -> port
-        | Unix.ADDR_UNIX _ -> assert false
-      with e ->
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        raise e
+      ?on_listening ?port ?path ~sites () =
+    let address =
+      address ~fn:"Transport_tcp.Coordinator.connect" ?port ?path ()
     in
+    ignore_sigpipe ();
+    let listen_fd, address = listen address ~backlog:(sites + 8) ~timeout in
     let t =
       {
         net = Network.create ?cost_model ~sites ();
         timeout;
         flush_bytes;
         listen_fd;
-        port;
+        address;
         evloop = Evloop.create ();
         conns = [];
         site_conn = Array.make sites None;
@@ -389,7 +430,7 @@ module Coordinator = struct
     in
     (* The bound port is known (0 requests an ephemeral one); tell the
        caller before blocking on accepts so it can spawn relays. *)
-    (match on_listening with None -> () | Some f -> f port);
+    Option.iter (fun f -> f (bound_port t)) on_listening;
     (try
        (* One wall-clock deadline covers the whole accept phase. *)
        let deadline = Unix.gettimeofday () +. timeout in
@@ -402,7 +443,7 @@ module Coordinator = struct
          if not (Evloop.await_readable t.listen_fd ~deadline) then
            failwith
              (Printf.sprintf
-                "tcp coordinator: timed out after %gs waiting for %d of %d \
+                "transport_tcp: timed out after %gs waiting for %d of %d \
                  site(s) to connect"
                 timeout (missing ()) sites);
          ignore (accept_handshake t ~claimed : bool)
@@ -414,7 +455,7 @@ module Coordinator = struct
     t
 
   let pack c = Transport.Packed ((module Backend), c)
-  let port c = c.port
+  let port = bound_port
 
   let reports c =
     List.map (fun conn -> (conn.first, conn.count, conn.report)) c.conns
@@ -422,19 +463,20 @@ module Coordinator = struct
   let set_on_poll c f = c.on_poll <- f
 end
 
-let connect ?cost_model ?timeout ?flush_bytes ?on_listening ~port ~sites () =
+let connect ?cost_model ?timeout ?flush_bytes ?on_listening ?port ?path ~sites
+    () =
   Coordinator.pack
-    (Coordinator.connect ?cost_model ?timeout ?flush_bytes ?on_listening ~port
-       ~sites ())
+    (Coordinator.connect ?cost_model ?timeout ?flush_bytes ?on_listening ?port
+       ?path ~sites ())
 
 (* ------------------------------------------------------------------ *)
 (* Relay                                                               *)
 (* ------------------------------------------------------------------ *)
 
 module Relay = struct
-  let connect_once ~host ~port () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
+  let connect_once ~host address =
+    let domain, addr = sockaddr ~host address in
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     match Unix.connect fd addr with
     | () -> Ok fd
     | exception
@@ -450,12 +492,16 @@ module Relay = struct
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e
 
-  (* Deadline-based connect retry, mirroring the socket relay. *)
-  let connect_retry ~deadline ~timeout ~host ~port =
+  (* Deadline-based connect retry: the budget is wall-clock, not an
+     attempt count, so a slow-to-bind coordinator costs exactly the time
+     it takes.  The short sleep between polls only paces the loop. *)
+  let connect_retry ~deadline ~timeout ~host address =
     let rec go () =
-      match connect_once ~host ~port () with
+      match connect_once ~host address with
       | Ok fd ->
         set_timeouts fd timeout;
+        (* Unsupported on a Unix-domain socket, which has no Nagle
+           delay to turn off. *)
         (try Unix.setsockopt fd Unix.TCP_NODELAY true
          with Unix.Unix_error _ -> ());
         fd
@@ -485,14 +531,15 @@ module Relay = struct
            (F.kind_to_string h.F.kind))
 
   let run ?(connect_timeout = 10.) ?(timeout = 30.) ?(host = "127.0.0.1")
-      ~port ~first_site ~count () =
+      ?port ?path ~first_site ~count () =
+    let address = address ~fn:"Transport_tcp.Relay.run" ?port ?path () in
     ignore_sigpipe ();
     let frames_received = ref 0 in
     let bytes_received = ref 0 in
     let frames_sent = ref 0 in
     let bytes_sent = ref 0 in
     let deadline = Unix.gettimeofday () +. connect_timeout in
-    let fd = connect_retry ~deadline ~timeout ~host ~port in
+    let fd = connect_retry ~deadline ~timeout ~host address in
     (try handshake fd ~first_site ~count
      with e ->
        (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -36,8 +36,8 @@ val item_count_pairs : int -> int
 
 (** {1 Frames}
 
-    The on-wire encoding used by the socket transport backend
-    ({!Transport_socket}): every message travels as one length-prefixed,
+    The on-wire encoding used by the stream carrier
+    ({!Transport_tcp}): every message travels as one length-prefixed,
     version-tagged frame.  The frame header is deliberately {e larger}
     than the simulator's accounting {!header_bytes} (real framing needs a
     magic, a version and an explicit length); the transport reconciles
@@ -92,10 +92,12 @@ module Frame : sig
   (** Upper bound on a frame payload accepted by {!decode_header}
       (16 MiB); a defense against garbage lengths, far above any sketch. *)
 
-  (** Frame kinds of the site/coordinator socket protocol. *)
+  (** Frame kinds of the relay/coordinator protocol. *)
   type kind =
-    | Hello  (** site -> coordinator: handshake carrying the site id *)
-    | Welcome  (** coordinator -> site: handshake accepted *)
+    | Hello
+        (** relay -> coordinator: handshake carrying the relay's first
+            site id, with the site count as a 4-byte payload *)
+    | Welcome  (** coordinator -> relay: handshake accepted *)
     | Deliver  (** coordinator -> site: one down-direction protocol message *)
     | Request_up
         (** coordinator -> site: control frame asking the site to emit one

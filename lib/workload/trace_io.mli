@@ -12,7 +12,7 @@
     trace reproduces the in-memory run bit for bit.
 
     Malformed input is rejected with the typed {!error} below — the same
-    discipline as {!Wd_net.Wire.Frame.error} on the socket transport:
+    discipline as {!Wd_net.Wire.Frame.error} on the wire carrier:
     loaders never guess, never silently shorten, and name what they
     found. *)
 

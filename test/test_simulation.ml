@@ -142,54 +142,6 @@ let test_sketch_ablation_runs () =
         true (err < 0.25))
     [ rb; rh ]
 
-(* The deprecated wrappers are exercised here ON PURPOSE, and nowhere
-   else: this is the one test that pins them bit-identical to the
-   unified Simulation.run, field by field, so every other caller can
-   migrate with confidence. *)
-module Legacy = struct
-  [@@@ocaml.alert "-deprecated"]
-
-  let run_dc = Sim.run_dc
-  let run_ds = Sim.run_ds
-  let run_hh = Sim.run_hh
-end
-
-let test_legacy_wrappers_bit_identical () =
-  (* DC *)
-  let l = Legacy.run_dc ~seed:5 ~algorithm:Dc.LS ~theta:0.05 ~alpha:0.05 stream in
-  let u = Sim.run ~seed:5 (Query.dc ~theta:0.05 ~alpha:0.05 Dc.LS) stream in
-  Alcotest.(check int) "dc updates" u.Sim.updates l.Sim.dc_updates;
-  Alcotest.(check int) "dc total bytes" u.Sim.total_bytes l.Sim.dc_total_bytes;
-  Alcotest.(check int) "dc bytes up" u.Sim.bytes_up l.Sim.dc_bytes_up;
-  Alcotest.(check int) "dc bytes down" u.Sim.bytes_down l.Sim.dc_bytes_down;
-  Alcotest.(check int) "dc sends" u.Sim.sends l.Sim.dc_sends;
-  Alcotest.(check (float 0.0))
-    "dc estimate" u.Sim.final_estimate l.Sim.dc_final_estimate;
-  Alcotest.(check int) "dc truth" u.Sim.final_truth l.Sim.dc_final_truth;
-  (* DS *)
-  let l = Legacy.run_ds ~seed:5 ~algorithm:Ds.GCS ~theta:0.3 ~threshold:64 stream in
-  let u = Sim.run ~seed:5 (Query.ds ~theta:0.3 ~threshold:64 Ds.GCS) stream in
-  let level, sample, max_count_error = ds_aux u in
-  Alcotest.(check int) "ds total bytes" u.Sim.total_bytes l.Sim.ds_total_bytes;
-  Alcotest.(check int) "ds sends" u.Sim.sends l.Sim.ds_sends;
-  Alcotest.(check int) "ds level" level l.Sim.ds_final_level;
-  Alcotest.(check bool) "ds sample" true (sample = l.Sim.ds_final_sample);
-  Alcotest.(check (float 0.0))
-    "ds estimate" u.Sim.final_estimate l.Sim.ds_distinct_estimate;
-  Alcotest.(check (float 0.0))
-    "ds count error" max_count_error l.Sim.ds_max_count_error;
-  (* HH *)
-  let cfg = { Http.default with requests = 2_000 } in
-  let p = Sim.pair_stream_of_requests cfg Http.Per_region (Http.generate cfg) in
-  let l = Legacy.run_hh ~seed:5 ~algorithm:Dc.LS ~theta:0.2 ~config:hh_config p in
-  let u =
-    Sim.run ~seed:5
-      (Query.hh ~theta:0.2 ~config:hh_config Dc.LS)
-      (Sim.stream_of_pairs p)
-  in
-  Alcotest.(check int) "hh total bytes" u.Sim.total_bytes l.Sim.hh_total_bytes;
-  Alcotest.(check int) "hh sends" u.Sim.sends l.Sim.hh_sends
-
 let () =
   Alcotest.run "simulation"
     [
@@ -217,9 +169,4 @@ let () =
         [ Alcotest.test_case "report" `Quick test_run_hh_report ] );
       ( "ablation",
         [ Alcotest.test_case "other sketches" `Quick test_sketch_ablation_runs ] );
-      ( "legacy",
-        [
-          Alcotest.test_case "wrappers = unified run" `Quick
-            test_legacy_wrappers_bit_identical;
-        ] );
     ]
