@@ -1,5 +1,5 @@
-(* Branchless-ish trailing-zero count via de Bruijn would be overkill here;
-   a byte-stepped loop is fast enough and obviously correct. *)
+(* The [int64] count is off the update paths: a byte-stepped loop is fast
+   enough and obviously correct. *)
 let trailing_zeros w =
   if w = 0L then 64
   else begin
@@ -15,32 +15,33 @@ let trailing_zeros w =
     !n
   end
 
-(* Same byte-stepped loop on a native int (63 significant bits).  All
-   operations are unboxed machine arithmetic, so callers on sketch update
-   paths pay no Int64 allocation.  [lsr] is a logical shift, so the sign
-   bit of a negative word is treated as an ordinary data bit. *)
+(* The native-int count is on every sketch update path, where the
+   geometric levels it sees make a loop's exit branch unpredictable.  So
+   it is branch-free on the common path, by de Bruijn multiplication:
+   [v land (-v)] isolates the lowest set bit of a nonzero 32-bit [v], and
+   multiplying that power of two by the de Bruijn constant leaves a
+   distinct 5-bit pattern in bits 27..31, which the table maps back to
+   the bit's index.  A 63-bit word is done as two 32-bit halves. *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let[@inline] trailing_zeros32 v =
+  Array.unsafe_get debruijn32
+    ((((v land -v) * 0x077C_B531) land 0xFFFF_FFFF) lsr 27)
+
 let trailing_zeros_int w =
-  if w = 0 then 63
-  else begin
-    let w = ref w and n = ref 0 in
-    while !w land 0xFF = 0 do
-      w := !w lsr 8;
-      n := !n + 8
-    done;
-    while !w land 1 = 0 do
-      w := !w lsr 1;
-      incr n
-    done;
-    !n
-  end
+  let low = w land 0xFFFF_FFFF in
+  if low <> 0 then trailing_zeros32 low
+  else if w = 0 then 63
+  else 32 + trailing_zeros32 (w lsr 32)
 
-(* [Int64.to_int] keeps exactly the low 63 bits of the hash.  When any of
-   them is set, the trailing-zero count of the full word equals that of
-   the truncated word (< 63).  When all are zero the full count is 63 or
-   64, and the cap makes both answers 63 — so the native-int fast path is
-   bit-for-bit the old [min 63 (trailing_zeros (hash64 h v))]. *)
-let level64 h v =
-  let low = Int64.to_int (Universal.hash64 h v) in
+(* [Universal.bits ~shift:0] keeps exactly the low 63 bits of the hash.
+   When any of them is set, the trailing-zero count of the full word
+   equals that of the truncated word (< 63).  When all are zero the full
+   count is 63 or 64, and the cap makes both answers 63 — so the
+   native-int path is bit-for-bit [min 63 (trailing_zeros (hash h v))],
+   and never boxes. *)
+let level h v =
+  let low = Universal.bits h ~shift:0 v in
   if low = 0 then 63 else trailing_zeros_int low
-
-let level h v = level64 h (Int64.of_int v)

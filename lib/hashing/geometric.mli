@@ -18,7 +18,5 @@ val trailing_zeros_int : int -> int
 val level : Universal.t -> int -> int
 (** [level h v] is the geometric level of item [v] under hash [h]:
     the count of trailing zeros of the hashed word, capped at 63.
-    [Pr[level h v >= l] = 2^-l] for [l <= 63] over the choice of [h]. *)
-
-val level64 : Universal.t -> int64 -> int
-(** [level64] is {!level} on a raw 64-bit key. *)
+    [Pr[level h v >= l] = 2^-l] for [l <= 63] over the choice of [h].
+    Allocation-free (through {!Universal.bits}). *)

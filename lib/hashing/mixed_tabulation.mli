@@ -24,16 +24,23 @@ val derived_chars : int
     mixed-tabulation literature for 64-bit keys and 8-bit characters). *)
 
 val create : Rng.t -> t
-(** [create rng] fills the (8 + {!derived_chars}) × 256 tables from
-    [rng] (~24 KiB of state). *)
+(** [create rng] fills the (8 + 8 + {!derived_chars}) × 256 tables of
+    64-bit words from [rng]: 40 KiB of state in one flat buffer. *)
 
 val hash : t -> int -> int64
-(** [hash h x] hashes the integer key [x]. *)
+(** [hash h x] hashes the integer key [x] (as [Int64.of_int x]): 8
+    simple-tabulation lookups producing the value word and the
+    derived-character word, then {!derived_chars} further lookups XORed
+    into the value word. *)
 
-val hash64 : t -> int64 -> int64
-(** [hash64 h x] hashes a raw 64-bit key: 8 simple-tabulation lookups
-    producing the value word and the derived-character word, then
-    {!derived_chars} further lookups XORed into the value word. *)
+val pcsa : t -> int -> int
+(** [pcsa h x] is the PCSA split of [hash h x], packed into one native
+    int as [(high lsl 6) lor level]: [high] is the hash's top 32 bits and
+    [level] the number of trailing zeros of its low 32 bits (32 when they
+    are all zero).  A sketch with [m] buckets reads bucket
+    [(p lsr 6) mod m] and level [p land 63].  Unlike {!hash}, whose
+    [int64] result is boxed (3 words) once it leaves this module, [pcsa]
+    allocates nothing. *)
 
 val concentrated_buckets : alpha:float -> delta:float -> int
 (** The single-repetition sizing rule.  With a concentrated hash the

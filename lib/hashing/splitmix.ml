@@ -1,7 +1,9 @@
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* Constants from Steele, Lea & Flood; identical to Java's SplittableRandom. *)
-let mix x =
+(* Constants from Steele, Lea & Flood; identical to Java's SplittableRandom.
+   [@inline] lets [mix_bits] below keep the whole finalizer in registers;
+   callers in other modules get the boxed out-of-line version. *)
+let[@inline] mix x =
   let x = Int64.logxor x (Int64.shift_right_logical x 30) in
   let x = Int64.mul x 0xBF58476D1CE4E5B9L in
   let x = Int64.logxor x (Int64.shift_right_logical x 27) in
@@ -9,6 +11,10 @@ let mix x =
   Int64.logxor x (Int64.shift_right_logical x 31)
 
 let mix_seeded ~seed x = mix (Int64.add (mix seed) x)
+
+let mix_bits ~premixed ~shift x =
+  let w = mix (Int64.add premixed (Int64.of_int x)) in
+  Int64.to_int (Int64.shift_right_logical w shift)
 
 type t = { mutable state : int64 }
 

@@ -22,6 +22,15 @@ val mix_seeded : seed:int64 -> int64 -> int64
     cheap keyed hash family indexed by [seed].  Distinct seeds give
     (empirically) independent hash functions. *)
 
+val mix_bits : premixed:int64 -> shift:int -> int -> int
+(** [mix_bits ~premixed ~shift x] is
+    [Int64.to_int (Int64.shift_right_logical (mix (Int64.add premixed
+    (Int64.of_int x))) shift)]: the keyed finalizer of the native key [x]
+    cut to a native-int window, computed without allocating.  [shift = 0]
+    keeps the low 63 bits; [shift >= 1] keeps the top [64 - shift] bits.
+    This is {!Universal}'s seeded family on its per-item paths: an [int64]
+    crossing a module boundary is boxed (3 words), a native int is not. *)
+
 (** {1 Sequential generator} *)
 
 type t

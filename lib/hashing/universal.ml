@@ -15,19 +15,30 @@ let multiply_shift rng =
   let b = Rng.int64 rng in
   Multiply_shift (a, b)
 
-let hash64 h x =
+(* (a*x + b) over Z/2^64; the high bits are the universal ones, so we
+   swap halves to make low bits usable by callers too. *)
+let[@inline] multiply_shift_word a b x =
+  let v = Int64.add (Int64.mul a x) b in
+  Int64.logor (Int64.shift_right_logical v 32) (Int64.shift_left v 32)
+
+let hash h x =
+  let x = Int64.of_int x in
   match h with
   | Mixer premixed -> Splitmix.mix (Int64.add premixed x)
-  | Multiply_shift (a, b) ->
-    (* (a*x + b) over Z/2^64; the high bits are the universal ones, so we
-       swap halves to make low bits usable by callers too. *)
-    let v = Int64.add (Int64.mul a x) b in
-    Int64.logor (Int64.shift_right_logical v 32) (Int64.shift_left v 32)
+  | Multiply_shift (a, b) -> multiply_shift_word a b x
 
-let hash h x = hash64 h (Int64.of_int x)
+(* The native-int twin of [hash]: the 64-bit word never leaves a single
+   function (here or {!Splitmix.mix_bits}), so nothing is boxed. *)
+let bits h ~shift x =
+  match h with
+  | Mixer premixed -> Splitmix.mix_bits ~premixed ~shift x
+  | Multiply_shift (a, b) ->
+    Int64.to_int
+      (Int64.shift_right_logical
+         (multiply_shift_word a b (Int64.of_int x))
+         shift)
 
 let to_range h ~buckets x =
   if buckets <= 0 then invalid_arg "Universal.to_range: buckets must be > 0";
   (* Use the top 62 bits to stay within OCaml's native int range. *)
-  let v = Int64.to_int (Int64.shift_right_logical (hash h x) 2) in
-  v mod buckets
+  bits h ~shift:2 x mod buckets

@@ -22,8 +22,13 @@ val multiply_shift : Rng.t -> t
 val hash : t -> int -> int64
 (** [hash h x] applies [h] to the (non-negative) integer key [x]. *)
 
-val hash64 : t -> int64 -> int64
-(** [hash64 h x] applies [h] to a raw 64-bit key. *)
+val bits : t -> shift:int -> int -> int
+(** [bits h ~shift x] is
+    [Int64.to_int (Int64.shift_right_logical (hash h x) shift)], computed
+    without allocating: [shift = 0] gives the low 63 bits of the hash,
+    [shift >= 1] its top [64 - shift] bits.  The per-item paths of the
+    sketches go through this (or {!to_range}) rather than {!hash}, whose
+    [int64] result is boxed once it leaves this module. *)
 
 val to_range : t -> buckets:int -> int -> int
 (** [to_range h ~buckets x] maps [x] uniformly onto [\[0, buckets)].

@@ -179,16 +179,8 @@ let size_bytes t = Fm_bitmap.size_bytes * t.fam.m
 let delta_bytes ~from target =
   let missing = ref 0 in
   for j = 0 to target.fam.m - 1 do
-    let extra =
-      Int64.logand
-        (Fm_bitmap.bits target.bitmaps.(j))
-        (Int64.lognot (Fm_bitmap.bits from.bitmaps.(j)))
-    in
-    let x = ref extra in
-    while !x <> 0L do
-      x := Int64.logand !x (Int64.sub !x 1L);
-      incr missing
-    done
+    missing :=
+      !missing + Fm_bitmap.missing ~from:from.bitmaps.(j) target.bitmaps.(j)
   done;
   4 * !missing
 

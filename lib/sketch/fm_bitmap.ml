@@ -48,6 +48,18 @@ let merge_into ~dst src =
   dst.lo <- dst.lo lor src.lo;
   dst.hi <- dst.hi lor src.hi
 
+(* Kernighan's loop: each step clears the lowest set bit. *)
+let popcount x =
+  let x = ref x and n = ref 0 in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr n
+  done;
+  !n
+
+let missing ~from t =
+  popcount (t.lo land lnot from.lo) + popcount (t.hi land lnot from.hi)
+
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
 let is_empty t = t.lo = 0 && t.hi = 0

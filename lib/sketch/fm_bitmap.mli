@@ -34,6 +34,11 @@ val estimate : t -> float
 val merge_into : dst:t -> t -> unit
 (** Bitwise OR: the merged bitmap summarizes the union of the item sets. *)
 
+val missing : from:t -> t -> int
+(** [missing ~from t] counts the bits set in [t] but not in [from]: the
+    levels a delta from [from] to [t] must ship.  Reads the native halves,
+    so unlike a popcount over {!bits} it allocates nothing. *)
+
 val equal : t -> t -> bool
 
 val is_empty : t -> bool

@@ -1,6 +1,5 @@
 module Rng = Wd_hashing.Rng
 module Mixed_tabulation = Wd_hashing.Mixed_tabulation
-module Geometric = Wd_hashing.Geometric
 
 type family = {
   m : int;
@@ -54,17 +53,12 @@ let copy t =
    low 32 bits — the PCSA split, but through a family strong enough that
    no averaging over independent repetitions is needed.  Levels cap at
    32, bounding each bucket near 2^32 phi; with m >= 16 buckets the
-   sketch range exceeds any int stream this code can see. *)
-let coords fam v =
-  let h = Mixed_tabulation.hash fam.hash v in
-  let j = Int64.to_int (Int64.shift_right_logical h 32) mod fam.m in
-  let low = Int64.to_int h land 0xFFFFFFFF in
-  let level = if low = 0 then 32 else Geometric.trailing_zeros_int low in
-  (j, level)
-
+   sketch range exceeds any int stream this code can see.
+   [Mixed_tabulation.pcsa] hands both over packed in one native int, so
+   an update allocates nothing. *)
 let add t v =
-  let j, level = coords t.fam v in
-  Fm_bitmap.add_level t.bitmaps.(j) level
+  let p = Mixed_tabulation.pcsa t.fam.hash v in
+  Fm_bitmap.add_level t.bitmaps.((p lsr 6) mod t.fam.m) (p land 63)
 
 (* Equal to folding [add] (change flags discarded) with the hash tables
    and bounds checks hoisted out of the loop. *)
@@ -74,11 +68,9 @@ let add_batch t vs =
   let m = fam.m in
   let bitmaps = t.bitmaps in
   for i = 0 to Array.length vs - 1 do
-    let h = Mixed_tabulation.hash hash (Array.unsafe_get vs i) in
-    let j = Int64.to_int (Int64.shift_right_logical h 32) mod m in
-    let low = Int64.to_int h land 0xFFFFFFFF in
-    let level = if low = 0 then 32 else Geometric.trailing_zeros_int low in
-    ignore (Fm_bitmap.add_level (Array.unsafe_get bitmaps j) level : bool)
+    let p = Mixed_tabulation.pcsa hash (Array.unsafe_get vs i) in
+    let j = (p lsr 6) mod m in
+    ignore (Fm_bitmap.add_level (Array.unsafe_get bitmaps j) (p land 63) : bool)
   done
 
 let merge_into ~dst src =
@@ -120,16 +112,8 @@ let size_bytes t = Fm_bitmap.size_bytes * t.fam.m
 let delta_bytes ~from target =
   let missing = ref 0 in
   for j = 0 to target.fam.m - 1 do
-    let extra =
-      Int64.logand
-        (Fm_bitmap.bits target.bitmaps.(j))
-        (Int64.lognot (Fm_bitmap.bits from.bitmaps.(j)))
-    in
-    let x = ref extra in
-    while !x <> 0L do
-      x := Int64.logand !x (Int64.sub !x 1L);
-      incr missing
-    done
+    missing :=
+      !missing + Fm_bitmap.missing ~from:from.bitmaps.(j) target.bitmaps.(j)
   done;
   4 * !missing
 

@@ -8,19 +8,19 @@ type plane = {
   hash : Mixed_tabulation.t;
   arena : Arena.t;
   mutable memo_key : int;
-  mutable memo_hash : int64;
+  mutable memo_pcsa : int; (* an int64 field would box on every store *)
   scratch : int array; (* shared MLE counts buffer, as in {!Fm} *)
 }
 
 let plane ?capacity ~rng () =
   let hash = Mixed_tabulation.create rng in
-  (* Invariant: [memo_hash = hash memo_key], established here so the
+  (* Invariant: [memo_pcsa = pcsa memo_key], established here so the
      memo needs no validity flag or sentinel branch. *)
   {
     hash;
     arena = Arena.create ?capacity ();
     memo_key = min_int;
-    memo_hash = Mixed_tabulation.hash hash min_int;
+    memo_pcsa = Mixed_tabulation.pcsa hash min_int;
     scratch = Array.make 65 0;
   }
 
@@ -79,28 +79,26 @@ let copy t =
 (* One memoized mixed-tabulation hash per item per plane: the first
    sketch to see an item pays the hash, every other sketch on the plane
    hits the memo.  Correct because the memo invariant
-   [memo_hash = hash memo_key] holds from construction on. *)
+   [memo_pcsa = pcsa memo_key] holds from construction on. *)
 let hash_item p v =
-  if p.memo_key = v then p.memo_hash
+  if p.memo_key = v then p.memo_pcsa
   else begin
-    let h = Mixed_tabulation.hash p.hash v in
+    let h = Mixed_tabulation.pcsa p.hash v in
     p.memo_key <- v;
-    p.memo_hash <- h;
+    p.memo_pcsa <- h;
     h
   end
 
-(* Bucket/level split identical to {!Wd_sketch.Fm_concentrated.coords}:
-   bucket from the high 32 bits (mod m), level from the trailing zeros
-   of the low 32 bits, capped at 32 — so a register needs 33 bits. *)
+(* The bucket/level split of {!Wd_sketch.Fm_concentrated.add}, read off
+   [Mixed_tabulation.pcsa]: bucket from the high 32 bits (mod m), level
+   from the trailing zeros of the low 32 bits, capped at 32 — so a
+   register needs 33 bits. *)
 let add t v =
   let p = t.fam.plane in
   let h = hash_item p v in
-  let j = Int64.to_int (Int64.shift_right_logical h 32) mod t.fam.m in
-  let low = Int64.to_int h land 0xFFFFFFFF in
-  let level = if low = 0 then 32 else Geometric.trailing_zeros_int low in
-  let idx = t.off + j in
+  let idx = t.off + ((h lsr 6) mod t.fam.m) in
   let r = Arena.unsafe_get p.arena idx in
-  let bit = 1 lsl level in
+  let bit = 1 lsl (h land 63) in
   if r land bit = 0 then begin
     Arena.unsafe_set p.arena idx (r lor bit);
     true

@@ -1,0 +1,213 @@
+(* Allocation regression suite: the per-update paths of the sketches and
+   trackers allocate nothing in steady state.
+
+   Each case runs its updates once to warm up (tables sized, bits set,
+   sampling levels raised), then runs the same updates again and counts
+   the minor-heap words they allocate.  It fails above [slack] words in
+   total, a fixed allowance for the boxed float [Gc.minor_words] returns
+   at the edges of the window; over 100k updates that is well under
+   0.001 words per update, where a single boxed [int64] per update would
+   read 3.
+
+   The rule that makes these paths allocation-free: a module compiled
+   [-opaque] (dune's default profile) cannot be inlined into its callers,
+   so an [int64] that crosses a module boundary, as argument or result,
+   is boxed.  Hash words therefore stay inside one function and leave
+   their module as native ints: [Mixed_tabulation.pcsa],
+   [Universal.bits]/[to_range], [Geometric.level], [Splitmix.mix_bits].
+
+   What still allocates, and why:
+   - [Hyperloglog] and [Bjkst] updates: they read all 64 bits of
+     [Universal.hash] (HyperLogLog's register index and rank come from
+     both halves; BJKST keeps [int64] hash keys), and that [int64] is
+     boxed as it leaves [Universal].
+   - [Fm_array.pair_element]: [Splitmix.mix_seeded] takes and returns
+     boxed [int64]s.
+   - Updates that change protocol state, which are not steady state: a
+     DS item entering a site's counts (hashtable insert, send), a DC
+     threshold crossing (message, estimate refresh). *)
+
+module Rng = Wd_hashing.Rng
+module Fmc = Wd_sketch.Fm_concentrated
+module Fm = Wd_sketch.Fm
+module Fm_window = Wd_sketch.Fm_window
+module Sampler = Wd_sketch.Distinct_sampler
+module Fanout = Wd_view.Fanout_sketch
+module Registry = Wd_view.Registry
+module Query = Wd_view.Query
+module Ds = Wd_protocol.Ds_tracker
+module Tracker_intf = Wd_protocol.Tracker_intf
+module Network = Wd_net.Network
+module Cm = Wd_frequency.Cm_sketch
+module Fm_array = Wd_aggregate.Fm_array
+
+let slack = 16.0
+let n = 100_000
+
+(* [n] items with repeats, as a stream has them. *)
+let items = Array.init n (fun i -> (i * 7919) mod (n / 2))
+
+(* Warm up with [f], then count the words a second [f] allocates. *)
+let check_quiet ~updates f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  let words = Gc.minor_words () -. w0 in
+  if words > slack then
+    Alcotest.failf "%.0f minor words over %d updates (%.4f per update)" words
+      updates
+      (words /. Float.of_int updates)
+
+let each f () = Array.iter f items
+
+let fmc_family () =
+  Fmc.family ~rng:(Rng.create 3) ~accuracy:0.05 ~confidence:0.95
+
+let fmc_add () =
+  let t = Fmc.create (fmc_family ()) in
+  check_quiet ~updates:n (each (fun v -> ignore (Fmc.add t v : bool)))
+
+let fmc_add_batch () =
+  let t = Fmc.create (fmc_family ()) in
+  check_quiet ~updates:n (fun () -> Fmc.add_batch t items)
+
+let fmc_delta_bytes () =
+  let fam = fmc_family () in
+  let a = Fmc.create fam and b = Fmc.create fam in
+  Fmc.add_batch a items;
+  Fmc.add_batch b (Array.sub items 0 (n / 3));
+  let calls = 10_000 in
+  let total = ref 0 in
+  check_quiet ~updates:calls (fun () ->
+      for _ = 1 to calls do
+        total := !total + Fmc.delta_bytes ~from:b a
+      done);
+  Alcotest.(check bool) "a holds bits b lacks" true (!total > 0)
+
+(* Two families on one plane: the second add of every item hits the
+   plane's memo. *)
+let fanout_add () =
+  let plane = Fanout.plane ~rng:(Rng.create 4) () in
+  let fine = Fanout.family_on ~plane ~accuracy:0.05 ~confidence:0.95
+  and coarse = Fanout.family_on ~plane ~accuracy:0.2 ~confidence:0.9 in
+  let a = Fanout.create fine and b = Fanout.create coarse in
+  check_quiet ~updates:(2 * n)
+    (each (fun v ->
+         ignore (Fanout.add a v : bool);
+         ignore (Fanout.add b v : bool)))
+
+let fm_family variant =
+  Fm.family_custom ~rng:(Rng.create 5) ~variant ~bitmaps:32
+
+let fm_add variant () =
+  let t = Fm.create (fm_family variant) in
+  check_quiet ~updates:n (each (fun v -> ignore (Fm.add t v : bool)))
+
+let fm_add_batch variant () =
+  let t = Fm.create (fm_family variant) in
+  check_quiet ~updates:n (fun () -> Fm.add_batch t items)
+
+let fm_window_add () =
+  let fam = Fm_window.family_custom ~rng:(Rng.create 6) ~bitmaps:64 in
+  let t = Fm_window.create fam in
+  let time = ref 0 in
+  check_quiet ~updates:n
+    (each (fun v ->
+         incr time;
+         ignore (Fm_window.add t ~time:!time v : bool)))
+
+let cm_add () =
+  let t = Cm.create ~rng:(Rng.create 7) ~rows:4 ~cols:1024 in
+  check_quiet ~updates:n (each (fun v -> Cm.add t v))
+
+let fm_array_add () =
+  let fam =
+    Fm_array.family ~rng:(Rng.create 8)
+      { Fm_array.rows = 3; cols = 64; bitmaps = 8 }
+  in
+  let t = Fm_array.create fam in
+  check_quiet ~updates:n
+    (each (fun v -> ignore (Fm_array.add t ~key:(v mod 97) ~element:v : bool)))
+
+(* Items the sampler's level rejects, once enough distinct items have
+   raised it. *)
+let below_level (level_of : int -> int) ~level =
+  let vs = Array.init (4 * n) (fun i -> i) in
+  let below = List.filter (fun v -> level_of v < level) (Array.to_list vs) in
+  Array.of_list below
+
+let sampler_add_batch () =
+  let fam = Sampler.family ~rng:(Rng.create 9) ~threshold:64 in
+  let t = Sampler.create fam in
+  Sampler.add_batch t (Array.init (4 * n) (fun i -> i));
+  let level = Sampler.level t in
+  Alcotest.(check bool) "level raised" true (level >= 4);
+  let vs = below_level (Sampler.item_level t) ~level in
+  check_quiet ~updates:(Array.length vs) (fun () -> Sampler.add_batch t vs)
+
+(* The end-to-end quiet chunk: a whole-stream DC view over fmc on the
+   simulator, fed a chunk whose items every site has already seen. *)
+let registry_quiet_chunk () =
+  let q =
+    match Query.of_spec "dc:ls:sketch=fmc,alpha=0.1,theta=0.05" with
+    | Ok q -> q
+    | Error e -> Alcotest.fail e
+  in
+  let reg = Registry.create ~seed:1 ~sites:4 [ q ] in
+  let tr = Registry.packed reg in
+  let net = Tracker_intf.network tr in
+  let sites = Array.init n (fun i -> i mod 4) in
+  let feed () =
+    Tracker_intf.observe_batch tr ~sites ~items ~pos:0 ~len:n
+  in
+  feed ();
+  let m0 = Network.total_messages net in
+  check_quiet ~updates:n feed;
+  Alcotest.(check int) "the chunk was quiet" m0 (Network.total_messages net);
+  Registry.close reg
+
+let ds_lco_below_level () =
+  let family = Sampler.family ~rng:(Rng.create 10) ~threshold:100 in
+  let tr = Ds.create ~algorithm:Ds.LCO ~theta:0.25 ~sites:4 ~family () in
+  let raise_items = Array.init (4 * n) (fun i -> i) in
+  Ds.observe_batch tr
+    ~sites:(Array.map (fun v -> v mod 4) raise_items)
+    ~items:raise_items ~pos:0 ~len:(4 * n);
+  let level = Ds.level tr in
+  Alcotest.(check bool) "level raised" true (level >= 4);
+  let mirror = Sampler.create family in
+  let vs = below_level (Sampler.item_level mirror) ~level in
+  let sites = Array.map (fun v -> v mod 4) vs in
+  let sends = Ds.sends tr in
+  check_quiet ~updates:(Array.length vs) (fun () ->
+      Ds.observe_batch tr ~sites ~items:vs ~pos:0 ~len:(Array.length vs));
+  Alcotest.(check int) "no site sent" sends (Ds.sends tr)
+
+let () =
+  Alcotest.run "alloc"
+    [
+      ( "sketch",
+        [
+          Alcotest.test_case "fmc add" `Quick fmc_add;
+          Alcotest.test_case "fmc add_batch" `Quick fmc_add_batch;
+          Alcotest.test_case "fmc delta_bytes" `Quick fmc_delta_bytes;
+          Alcotest.test_case "fanout add, shared plane" `Quick fanout_add;
+          Alcotest.test_case "fm add averaged" `Quick (fm_add Fm.Averaged);
+          Alcotest.test_case "fm add stochastic" `Quick (fm_add Fm.Stochastic);
+          Alcotest.test_case "fm add_batch averaged" `Quick
+            (fm_add_batch Fm.Averaged);
+          Alcotest.test_case "fm add_batch stochastic" `Quick
+            (fm_add_batch Fm.Stochastic);
+          Alcotest.test_case "fm_window add" `Quick fm_window_add;
+          Alcotest.test_case "count-min add" `Quick cm_add;
+          Alcotest.test_case "fm_array add" `Quick fm_array_add;
+          Alcotest.test_case "sampler add_batch below level" `Quick
+            sampler_add_batch;
+        ] );
+      ( "tracker",
+        [
+          Alcotest.test_case "dc fmc registry quiet chunk" `Quick
+            registry_quiet_chunk;
+          Alcotest.test_case "ds lco below level" `Quick ds_lco_below_level;
+        ] );
+    ]

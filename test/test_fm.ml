@@ -50,6 +50,22 @@ let test_bitmap_roundtrip () =
   let a = Fm_bitmap.of_bits 0xDEADBEEFL in
   Alcotest.(check int64) "of_bits/bits roundtrip" 0xDEADBEEFL (Fm_bitmap.bits a)
 
+(* [missing] on the native halves = a popcount over the int64 [bits]. *)
+let prop_bitmap_missing =
+  let show (a, b) = Printf.sprintf "(0x%Lx, 0x%Lx)" a b in
+  let word rng = Wd_hashing.Rng.int64 rng in
+  Prop.test_case ~show ~name:"missing = popcount of bits" (Prop.pair word word)
+    (fun (a, b) ->
+      let popcount w =
+        let n = ref 0 in
+        for i = 0 to 63 do
+          if Int64.logand (Int64.shift_right_logical w i) 1L = 1L then incr n
+        done;
+        !n
+      in
+      Fm_bitmap.missing ~from:(Fm_bitmap.of_bits a) (Fm_bitmap.of_bits b)
+      = popcount (Int64.logand b (Int64.lognot a)))
+
 (* --- Multi-bitmap sketch --- *)
 
 let mk_family ?(seed = 21) ?(variant = Fm.Stochastic) ?(bitmaps = 64) () =
@@ -229,6 +245,7 @@ let () =
           Alcotest.test_case "copy independent" `Quick
             test_bitmap_copy_independent;
           Alcotest.test_case "bits roundtrip" `Quick test_bitmap_roundtrip;
+          prop_bitmap_missing;
         ] );
       ( "sketch",
         [

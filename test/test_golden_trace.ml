@@ -63,6 +63,37 @@ let dc_ls_unicast () =
     summary.Summary.bytes_down;
   Alcotest.(check int) "medium bytes" 0 summary.Summary.medium_bytes
 
+(* The concentrated single-hash sketch under the same LS run: pins the
+   mixed-tabulation tables (layout and draw order) and the PCSA split
+   end to end, which the FM and sampler rows above never touch. *)
+let dc_ls_fmc () =
+  let ring = Sink.ring ~capacity:8192 in
+  let run =
+    Sim.run ~seed:7 ~sink:ring
+      (Query.dc ~sketch:Query.Fmc ~theta:0.03 ~alpha:0.07 Dc.LS)
+      (golden_stream ())
+  in
+  Alcotest.(check int) "bytes up" 11132 run.Sim.bytes_up;
+  Alcotest.(check int) "bytes down" 14828 run.Sim.bytes_down;
+  Alcotest.(check int) "total bytes" 25960 run.Sim.total_bytes;
+  Alcotest.(check int) "sends" 433 run.Sim.sends;
+  Alcotest.(check (float 1e-6)) "estimate" 3521.874391 run.Sim.final_estimate;
+  Alcotest.(check int) "truth" 3536 run.Sim.final_truth;
+  let summary = Summary.of_events (Sink.ring_contents ring) in
+  check_kinds summary
+    ~expected:
+      [
+        ("estimate_update", 429);
+        ("message", 866);
+        ("resync", 433);
+        ("run_meta", 1);
+        ("sketch_sent", 433);
+        ("threshold_crossed", 433);
+      ];
+  Alcotest.(check int) "trace bytes up = ledger" 11132 summary.Summary.bytes_up;
+  Alcotest.(check int) "trace bytes down = ledger" 14828
+    summary.Summary.bytes_down
+
 let dc_ss_radio () =
   let ring = Sink.ring ~capacity:8192 in
   let run =
@@ -131,6 +162,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "dc ls unicast" `Quick dc_ls_unicast;
+          Alcotest.test_case "dc ls fmc" `Quick dc_ls_fmc;
           Alcotest.test_case "dc ss radio" `Quick dc_ss_radio;
           Alcotest.test_case "ds gcs" `Quick ds_gcs;
         ] );

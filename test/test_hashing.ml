@@ -5,6 +5,7 @@ module Splitmix = Wd_hashing.Splitmix
 module Universal = Wd_hashing.Universal
 module Tabulation = Wd_hashing.Tabulation
 module Geometric = Wd_hashing.Geometric
+module Mixed_tabulation = Wd_hashing.Mixed_tabulation
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -190,7 +191,14 @@ let test_trailing_zeros () =
   Alcotest.(check int) "tz 2^40 = 40" 40
     (Geometric.trailing_zeros (Int64.shift_left 1L 40));
   Alcotest.(check int) "tz min_int = 63" 63
-    (Geometric.trailing_zeros Int64.min_int)
+    (Geometric.trailing_zeros Int64.min_int);
+  Alcotest.(check int) "native tz 0 = 63" 63 (Geometric.trailing_zeros_int 0);
+  for i = 0 to 62 do
+    Alcotest.(check int) (Printf.sprintf "native tz 2^%d" i) i
+      (Geometric.trailing_zeros_int (1 lsl i));
+    Alcotest.(check int) (Printf.sprintf "native tz -2^%d" i) i
+      (Geometric.trailing_zeros_int (-1 lsl i))
+  done
 
 let test_geometric_level_of_hash () =
   let g = Rng.create 13 in
@@ -211,6 +219,142 @@ let test_geometric_level_of_hash () =
       true
       (Float.abs (got -. expected) < 0.015)
   done
+
+(* --- Known answers ---
+
+   Pinned outputs for edge-case keys, recorded from an independent
+   implementation of each family (nested [int64] arrays, boxed int64
+   arithmetic).  Every sketch, golden trace and eval artifact downstream
+   is a function of these words, so a change of table layout, draw order,
+   sign extension or finalizer shows up here first, by key. *)
+
+let kat_keys = [ 0; 1; -1; 42; (1 lsl 32) + 7; max_int; min_int ]
+
+let check_kat (type a) (ty : a Alcotest.testable) name (f : int -> a)
+    (expected : a list) =
+  List.iter2
+    (fun k e -> Alcotest.check ty (Printf.sprintf "%s %d" name k) e (f k))
+    kat_keys expected
+
+let test_kat_mixed_tabulation () =
+  (* Seed 1 is the registry seed the end-to-end benchmark draws from. *)
+  let h = Mixed_tabulation.create (Rng.create 1) in
+  check_kat Alcotest.int64 "mt" (Mixed_tabulation.hash h)
+    [
+      0xbba2ea008a2d41f5L;
+      0xba4e33a85e33108dL;
+      0x9cfc794d9abf43ffL;
+      0x6d3d5a6b5d8cbf63L;
+      0xae9803826c6a24deL;
+      0x93874a4e79c6a24bL;
+      0x039ca1866ef07b1dL;
+    ]
+
+let test_kat_universal () =
+  let mixer = Universal.of_rng (Rng.create 1)
+  and ms = Universal.multiply_shift (Rng.create 1) in
+  check_kat Alcotest.int64 "of_rng" (Universal.hash mixer)
+    [
+      0xc6d815c67805f9e4L;
+      0x214fb7760dfbacc8L;
+      0x103cca12f7e6245fL;
+      0x8f7062cb46a23db4L;
+      0xde3960eef2cf4ae1L;
+      0xcac4803b0c32466fL;
+      0xe30747015cc62d0aL;
+    ];
+  check_kat Alcotest.int64 "multiply_shift" (Universal.hash ms)
+    [
+      0x82f2aa475f552ce4L;
+      0x60b581ba1f44ad15L;
+      0xa52fd2d49f65acb3L;
+      0xe4ea0325dca034e8L;
+      0x93468e6c7ca485adL;
+      0xa52fd2d45f65acb3L;
+      0x82f2aa479f552ce4L;
+    ];
+  check_kat Alcotest.int "to_range of_rng 1000"
+    (Universal.to_range mixer ~buckets:1000)
+    [ 625; 306; 839; 301; 880; 715; 746 ];
+  check_kat Alcotest.int "to_range multiply_shift 7"
+    (Universal.to_range ms ~buckets:7)
+    [ 1; 6; 2; 3; 6; 0; 3 ];
+  check_kat Alcotest.int "level of_rng" (Geometric.level mixer)
+    [ 2; 3; 0; 2; 0; 0; 1 ];
+  check_kat Alcotest.int "level multiply_shift" (Geometric.level ms)
+    [ 2; 0; 0; 3; 0; 0; 2 ]
+
+(* --- Native entry points = their int64 definitions --- *)
+
+(* Any native int, negative ones and both extremes included. *)
+let any_int rng =
+  match Rng.int rng 8 with
+  | 0 -> max_int
+  | 1 -> min_int
+  | _ -> Int64.to_int (Rng.int64 rng)
+
+let show_seed_key (seed, x) = Printf.sprintf "(seed %d, key %d)" seed x
+let seed_key = Prop.pair (Prop.int_range 0 10_000) any_int
+
+let window h ~shift x =
+  Int64.to_int (Int64.shift_right_logical (Universal.hash h x) shift)
+
+let prop_pcsa_is_hash_split =
+  Prop.test_case ~show:show_seed_key ~name:"pcsa = split of hash"
+    seed_key (fun (seed, x) ->
+      let h = Mixed_tabulation.create (Rng.create seed) in
+      let w = Mixed_tabulation.hash h x in
+      let low = Int64.to_int (Int64.logand w 0xFFFF_FFFFL) in
+      let level =
+        if low = 0 then 32 else Geometric.trailing_zeros (Int64.of_int low)
+      in
+      let high = Int64.to_int (Int64.shift_right_logical w 32) in
+      Mixed_tabulation.pcsa h x = (high lsl 6) lor level)
+
+let prop_bits_is_hash_window =
+  Prop.test_case ~show:show_seed_key
+    ~name:"bits, to_range, level = hash"
+    seed_key (fun (seed, x) ->
+      List.for_all
+        (fun h ->
+          let shifts_ok =
+            List.for_all
+              (fun shift -> Universal.bits h ~shift x = window h ~shift x)
+              [ 0; 1; 2; 31; 32; 33; 62; 63 ]
+          in
+          let buckets = 1 + (seed mod 1000) in
+          shifts_ok
+          && Universal.to_range h ~buckets x = window h ~shift:2 x mod buckets
+          && Geometric.level h x
+             = min 63 (Geometric.trailing_zeros (Universal.hash h x)))
+        [
+          Universal.of_rng (Rng.create seed);
+          Universal.multiply_shift (Rng.create seed);
+          Universal.create ~seed:(Int64.of_int seed);
+        ])
+
+let prop_trailing_zeros_int =
+  Prop.test_case ~show:string_of_int ~name:"trailing_zeros_int = int64 count"
+    (fun rng ->
+      (* Words with long runs of low zeros, and zero itself. *)
+      let w = any_int rng in
+      if Rng.bool rng then w else w lsl Rng.int rng 63)
+    (fun w ->
+      Geometric.trailing_zeros_int w
+      = min 63 (Geometric.trailing_zeros (Int64.of_int w)))
+
+let prop_mix_bits_is_mix_window =
+  Prop.test_case ~show:show_seed_key ~name:"mix_bits = mix window"
+    seed_key (fun (seed, x) ->
+      let premixed = Splitmix.mix (Int64.of_int seed) in
+      List.for_all
+        (fun shift ->
+          Splitmix.mix_bits ~premixed ~shift x
+          = Int64.to_int
+              (Int64.shift_right_logical
+                 (Splitmix.mix (Int64.add premixed (Int64.of_int x)))
+                 shift))
+        [ 0; 2; 32; 63 ])
 
 (* --- QCheck properties --- *)
 
@@ -285,6 +429,20 @@ let () =
         [
           Alcotest.test_case "trailing zeros" `Quick test_trailing_zeros;
           Alcotest.test_case "level distribution" `Quick test_geometric_level_of_hash;
+        ] );
+      ( "known answers",
+        [
+          Alcotest.test_case "mixed tabulation seed 1" `Quick
+            test_kat_mixed_tabulation;
+          Alcotest.test_case "universal, to_range, level" `Quick
+            test_kat_universal;
+        ] );
+      ( "native ints",
+        [
+          prop_pcsa_is_hash_split;
+          prop_bits_is_hash_window;
+          prop_mix_bits_is_mix_window;
+          prop_trailing_zeros_int;
         ] );
       ("properties", qsuite);
     ]
