@@ -10,10 +10,11 @@
 
     - {b One hash per item per plane.}  Every family built on the same
       {!plane} shares one mixed-tabulation hash, and the plane memoizes
-      the last [(item, hash)] pair.  When a registry fans an item out to
-      [N] subscribed views in sequence, the first [add] pays the full
-      hash and the remaining [N - 1] hit the memo — the marginal cost of
-      another view is a register check, not a rehash.
+      the last item with its {!Wd_hashing.Mixed_tabulation.pcsa} word.
+      When a registry fans an item out to [N] subscribed views in
+      sequence, the first [add] pays the full hash and the remaining
+      [N - 1] hit the memo — the marginal cost of another view is a
+      register check, not a rehash.
     - {b Arena registers.}  Each sketch's [m] registers are one native
       int apiece (levels cap at 32, so a register is a 33-bit bitmap) in
       the plane's {!Arena} — no per-sketch heap array, nothing for the
