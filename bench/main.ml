@@ -436,15 +436,10 @@ let run_sketch_bytes () =
 
 (* ------------------------------------------------------------------ *)
 (* Site-count scaling: end-to-end LS tracking at k = 10 / 100 / 1000
-   sites on one seeded stream, plus the sharded coordinator at k = 1000
-   with 1 vs 4 worker domains.  The shard comparison is only meaningful
-   on a multicore host; the committed JSON records the runner's
-   recommended domain count so single-core baselines are not misread as
-   a parallel-speedup regression. *)
+   sites on one seeded stream. *)
 
 type scaling_row = {
   s_sites : int;
-  s_shards : int;
   s_updates : int;
   s_wall_s : float;
   s_total_bytes : int;
@@ -453,48 +448,35 @@ type scaling_row = {
 
 let run_scaling ~scale =
   let module Sim = Whats_different.Simulation in
-  Report.print_section
-    "scaling: LS tracking at k sites (and the sharded coordinator at k=1000)";
+  Report.print_section "scaling: LS tracking at k sites";
   let events = max 10_000 (int_of_float (200_000.0 *. scale)) in
-  let one ~sites ~shards =
+  let one ~sites =
     let stream =
       Stream_gen.zipf ~seed:11 ~sites ~events ~universe:(max 500 (events / 2))
         ()
     in
     let t0 = Unix.gettimeofday () in
     let r =
-      Sim.run ~seed:1 ~shards
-        (Wd_view.Query.dc ~theta:0.05 ~alpha:0.1 Dc.LS)
-        stream
+      Sim.run ~seed:1 (Wd_view.Query.dc ~theta:0.05 ~alpha:0.1 Dc.LS) stream
     in
     let wall = Unix.gettimeofday () -. t0 in
     {
       s_sites = sites;
-      s_shards = shards;
       s_updates = r.Sim.updates;
       s_wall_s = wall;
       s_total_bytes = r.Sim.total_bytes;
       s_sends = r.Sim.sends;
     }
   in
-  let rows =
-    [
-      one ~sites:10 ~shards:1;
-      one ~sites:100 ~shards:1;
-      one ~sites:1000 ~shards:1;
-      one ~sites:1000 ~shards:4;
-    ]
-  in
+  let rows = [ one ~sites:10; one ~sites:100; one ~sites:1000 ] in
   Report.print_table
     ~header:
-      [ "sites"; "shards"; "updates"; "wall s"; "M updates/s"; "ledger bytes";
-        "sends" ]
+      [ "sites"; "updates"; "wall s"; "M updates/s"; "ledger bytes"; "sends" ]
     (List.map
        (fun r ->
          Report.
            [
              I r.s_sites;
-             I r.s_shards;
              I r.s_updates;
              F r.s_wall_s;
              F (Float.of_int r.s_updates /. r.s_wall_s /. 1e6);
@@ -502,8 +484,6 @@ let run_scaling ~scale =
              I r.s_sends;
            ])
        rows);
-  Printf.printf "host recommended domain count: %d\n"
-    (Domain.recommended_domain_count ());
   print_newline ();
   rows
 
@@ -742,7 +722,6 @@ let json_of_results ~scale ~throughput ~bytes ~scaling ~sketch_bytes ~views =
                    Json.Obj
                      [
                        ("sites", Json.Int r.s_sites);
-                       ("shards", Json.Int r.s_shards);
                        ("updates", Json.Int r.s_updates);
                        ("wall_s", Json.Float r.s_wall_s);
                        ( "updates_per_s",

@@ -99,7 +99,7 @@ let faults_arg =
 let topology_arg =
   let doc =
     "Tree topology spec routing sites through intermediate aggregators: \
-     $(i,flat), $(i,tree:regions=R\\[,fanout=F\\]), or an explicit \
+     $(i,flat), $(i,tree:regions=R[,fanout=F]), or an explicit \
      $(i,edges:s0>a0,a0>root,...) list.  Backbone hops are charged \
      separately from the site links in the ledger."
   in
@@ -539,9 +539,9 @@ let hh_cmd =
 let run_cmd =
   let query_arg =
     let doc =
-      "The primary query spec: $(i,family:alg\\[:key=value,...\\]), e.g. \
+      "The primary query spec: $(i,family:alg[:key=value,...]), e.g. \
        $(i,dc:ls:alpha=0.07,theta=0.03) or $(i,ds:lco:threshold=500).  \
-       Families: dc, ds, hh, window."
+       Families: dc, ds, hh, window, yzhh, yzq."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
   in
@@ -767,26 +767,13 @@ let coord_cmd =
     in
     Arg.(value & opt int 4 & info [ "relays" ] ~docv:"N" ~doc)
   in
-  let shards_arg =
-    let doc =
-      "Shard the coordinator's sketch merges across this many OCaml 5 \
-       worker domains (dc only; the merge laws make the published \
-       results identical to $(b,--shards 1))."
-    in
-    Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
-  in
   let run protocol spawn path timeout workload scale seed epsilon sites events
       faults_spec fault_seed metrics_port spans trace_out tcp_port relays
-      shards views_spec =
+      views_spec =
     match
       let ( let* ) = Result.bind in
       let* faults = parse_faults ~fault_seed faults_spec in
       let* views = parse_views views_spec in
-      let* () =
-        if shards > 1 && protocol = `Ds then
-          Error "--shards applies to the dc protocol only"
-        else Ok ()
-      in
       let* trace_sink = open_trace trace_out in
       Ok (faults, views, trace_sink)
     with
@@ -877,9 +864,7 @@ let coord_cmd =
             let alpha = epsilon -. theta in
             let r =
               Simulation.run ~seed ~transport ~faults ?sink ?metrics ~spans
-                ~shards ~views
-                (Query.dc ~theta ~alpha Dc.LS)
-                stream
+                ~views (Query.dc ~theta ~alpha Dc.LS) stream
             in
             ( "distinct count (LS)",
               r.Simulation.final_estimate,
@@ -978,9 +963,6 @@ let coord_cmd =
               Printf.sprintf "%d / %d" ws.Transport.batch_envelopes
                 ws.Transport.batch_inner_frames );
           ]
-          @ (if shards > 1 then
-               [ ("coordinator shards", string_of_int shards) ]
-             else [])
           @ (if spans then
                [
                  ( "span frames up / down",
@@ -1026,7 +1008,7 @@ let coord_cmd =
         $ socket_timeout_arg $ workload_arg $ scale_arg $ seed_arg
         $ epsilon_arg $ sites_arg $ events_arg $ faults_arg $ fault_seed_arg
         $ metrics_port_arg $ spans_flag $ trace_out_arg $ tcp_port_arg
-        $ relays_arg $ shards_arg $ views_arg))
+        $ relays_arg $ views_arg))
 
 (* ------------------------------------------------------------------ *)
 (* eval *)

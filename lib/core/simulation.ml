@@ -151,8 +151,8 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
   let run ?(cost_model = Network.Unicast) ?transport ?(item_batching = true)
       ?(seed = 1) ?(checkpoints = 20) ?(error_samples = 200)
       ?(confidence = 0.9) ?family ?(sink = Sink.null) ?metrics
-      ?(spans = false) ?(faults = Wd_net.Faults.none) ?(shards = 1) ~algorithm
-      ~theta ~alpha stream =
+      ?(spans = false) ?(faults = Wd_net.Faults.none) ~algorithm ~theta ~alpha
+      stream =
     let n = Stream.length stream in
     if n = 0 then invalid_arg "Simulation.Make_dc.run: empty stream";
     let k = Stream.num_sites stream in
@@ -165,8 +165,8 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     (* EC ignores theta but the constructor validates it. *)
     let theta = if algorithm = Dc.EC then Float.max theta 0.1 else theta in
     let tracker =
-      Tracker.create ~cost_model ?transport ~item_batching ~sink ~shards
-        ~algorithm ~theta ~sites:k ~family ()
+      Tracker.create ~cost_model ?transport ~item_batching ~sink ~algorithm
+        ~theta ~sites:k ~family ()
     in
     let transport = Tracker.transport tracker in
     let net = Tracker.network tracker in
@@ -218,9 +218,6 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
       ~on_arrival:(fun item ->
         if not (Hashtbl.mem truth item) then Hashtbl.replace truth item ())
       ~sample_at stream;
-    (* Publish deferred sharded merges and join worker domains before
-       the final estimate is read. *)
-    Tracker.close tracker;
     Transport.close transport;
     {
       dc_algorithm = algorithm;
@@ -374,7 +371,7 @@ let exact_packed_pair_bytes stream =
 let run ?(cost_model = Network.Unicast) ?transport ?topology
     ?(item_batching = true) ?(seed = 1) ?(checkpoints = 20)
     ?(error_samples = 200) ?(sink = Sink.null) ?metrics ?(spans = false)
-    ?(faults = Wd_net.Faults.none) ?(shards = 1) ?(top_k = 20) ?(views = [])
+    ?(faults = Wd_net.Faults.none) ?(top_k = 20) ?(views = [])
     (query : Query.t) stream =
   let n = Stream.length stream in
   if n = 0 then invalid_arg "Simulation.run: empty stream";
@@ -397,7 +394,7 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
     if query.Query.window > 0 then query.Query.window else default_window
   in
   let reg =
-    Registry.create ~cost_model ?transport ~item_batching ~sink ~shards
+    Registry.create ~cost_model ?transport ~item_batching ~sink
       ~default_window ~seed ~sites:k (query :: views)
   in
   let tracker = Registry.packed reg in
@@ -485,8 +482,7 @@ let run ?(cost_model = Network.Unicast) ?transport ?topology
   feed tracker ~faults
     ~boundaries:(merge_positions byte_positions err_positions)
     ~on_arrival ~sample_at stream;
-  (* Publish deferred sharded merges, join worker domains and close the
-     transports before the final answers are read. *)
+  (* Close the transports before the final answers are read. *)
   Registry.close reg;
   let aux =
     if is_ds then begin

@@ -107,7 +107,6 @@ val run :
   ?metrics:Wd_obs.Metrics.t ->
   ?spans:bool ->
   ?faults:Wd_net.Faults.plan ->
-  ?shards:int ->
   ?top_k:int ->
   ?views:Wd_view.Query.t list ->
   Wd_view.Query.t ->
@@ -116,8 +115,8 @@ val run :
 (** [run query stream] drives [stream] through [query] and any
     satellite [views], all sharing the single feed pass.
 
-    The primary [query] receives [transport], [sink] and [shards], and
-    its byte ledger supplies the run's cost fields.  Satellites run on
+    The primary [query] receives [transport] and [sink], and its byte
+    ledger supplies the run's cost fields.  Satellites run on
     private in-process simulator transports (per-view costs are in
     [view_reports]).  A view's hash seed defaults to [seed + index], so
     the primary reproduces a standalone run at [seed] bit-for-bit.
@@ -147,12 +146,8 @@ val run :
     engaged — and the run record carries the fault counters (window
     queries reject enabled fault plans — they have no transport);
     satellite trackers see the full arrival stream either way.
-    [shards] (default 1) > 1 routes a DC coordinator's global sketch
-    merges through that many OCaml 5 worker domains
-    ({!Wd_protocol.Sharded}); the estimates equal the single-domain run
-    by the sketch merge laws.  [top_k] sizes the HH
-    evaluation ([default 20]).  HH queries expect a stream of
-    {!Wd_view.Query.pack_pair}ed [(v, w)] keys — see
+    [top_k] sizes the HH evaluation ([default 20]).  HH queries expect
+    a stream of {!Wd_view.Query.pack_pair}ed [(v, w)] keys — see
     {!stream_of_pairs}.
 
     [topology] installs a {!Wd_net.Topology} tree on the primary's
@@ -191,8 +186,7 @@ type dc_run = {
 
 (** A distinct-count run over any
     {!Wd_sketch.Sketch_intf.DISTINCT_SKETCH} with an explicit sketch
-    family — used by the sketch-type ablation and the eval grid's
-    non-FM cells. *)
+    family — used by the averaged-FM ablation. *)
 module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
   val run :
     ?cost_model:Wd_net.Network.cost_model ->
@@ -207,7 +201,6 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
     ?metrics:Wd_obs.Metrics.t ->
     ?spans:bool ->
     ?faults:Wd_net.Faults.plan ->
-    ?shards:int ->
     algorithm:Wd_protocol.Dc_tracker.algorithm ->
     theta:float ->
     alpha:float ->
@@ -220,10 +213,10 @@ module Make_dc (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
       [error_samples] (default 200) control the series resolutions.
       The site count is [Stream.num_sites stream].
 
-      [sink], [metrics], [spans], [faults], [transport] and [shards]
-      behave as in the unified [run] above: the transport defaults to a
-      fresh in-process simulator with [cost_model] and is closed when
-      the run completes; [shards > 1] is not applicable to [EC]. *)
+      [sink], [metrics], [spans], [faults] and [transport] behave as in
+      the unified [run] above: the transport defaults to a fresh
+      in-process simulator with [cost_model] and is closed when the run
+      completes. *)
 end
 
 module Dc_fm : module type of Make_dc (Wd_sketch.Fm)

@@ -16,10 +16,6 @@ module Sink = Wd_obs.Sink
 module Event = Wd_obs.Event
 module Query = Wd_view.Query
 
-module Dc_bjkst = Sim.Make_dc (Wd_sketch.Bjkst)
-module Dc_hll = Sim.Make_dc (Wd_sketch.Hyperloglog)
-module Dc_fmc = Sim.Make_dc (Wd_sketch.Fm_concentrated)
-
 let sketch_estimator (cell : Spec.cell) =
   match cell.estimator with
   | Spec.Classic -> Wd_sketch.Sketch_intf.Classic
@@ -186,12 +182,10 @@ let dc_rep cfg (cell : Spec.cell) ~seed ?transport ?sink ?spans stream =
   (* The injected-bug dial: scaling sketch accuracy by sqrt(h) is
      exactly an h-fold cut in FM repetitions (m ~ 1/accuracy^2). *)
   let acc = Spec.sketch_alpha cell *. Float.sqrt cfg.handicap in
-  let delta = cell.delta in
   let faults = parse_faults cell ~seed:(seed + 500) in
   let algorithm =
     match cell.protocol with Spec.Dc a -> a | _ -> assert false
   in
-  let est = sketch_estimator cell in
   let topology = parse_topology cell ~sites:(Stream.num_sites stream) in
   let swb = sketch_wire_bytes cell ~seed stream in
   let opt_lb =
@@ -199,93 +193,29 @@ let dc_rep cfg (cell : Spec.cell) ~seed ?transport ?sink ?spans stream =
       ~updates:(Stream.length stream) ~distinct:(Stream.distinct_count stream)
       ~threshold:cfg.ds_threshold ~sketch_bytes:swb
   in
-  if cell.views > 1 || topology <> None then begin
-    (* Multi-view and hierarchical cells go through the registry entry
-       point; the primary runs at [seed] and must match the standalone
-       tracker, so the acceptance judgement below is unchanged.  Tree
-       cells' bytes are the backbone-inclusive grand total. *)
-    let run =
-      Sim.run ?transport ?topology ?sink ?spans ~seed ~faults
-        ~views:(dc_satellites cell ~theta ~alpha:acc algorithm)
-        (Query.dc
-           ~sketch:(query_sketch cell.sketch)
-           ~estimator:est
-           ~confidence:(1.0 -. delta)
-           ~theta ~alpha:acc algorithm)
-        stream
-    in
-    let truth = max 1 run.Sim.final_truth in
-    let err =
-      Float.abs (run.Sim.final_estimate -. Float.of_int truth)
-      /. Float.of_int truth
-    in
-    let series = run.Sim.error_series in
-    let n = Array.length series in
-    let tail = Array.sub series (n / 2) (n - (n / 2)) in
-    let in_band =
-      Array.fold_left
-        (fun a (_, e) -> if e <= cell.alpha then a + 1 else a)
-        0 tail
-    in
-    let coverage =
-      Float.of_int in_band /. Float.of_int (max 1 (Array.length tail))
-    in
-    let success =
-      err <= cell.alpha && coverage >= 1.0 -. (2.0 *. cell.delta)
-    in
-    let bound =
-      Theory.dc_bound ~algorithm ~sites:(Stream.num_sites stream)
-        ~distinct:(Stream.distinct_count stream) ~theta ~sketch_bytes:swb
-        ~exact_bytes:(Sim.exact_dc_bytes stream)
-    in
-    ( {
-        err;
-        success;
-        bytes = run.Sim.total_bytes + run.Sim.backbone_bytes;
-        msgs = run.Sim.sends;
-      },
-      bound,
-      opt_lb )
-  end
-  else
+  (* The primary runs at [seed] (the family [family_of_params ~seed]
+     builds); multi-view cells add key-class satellites beside it.  Tree
+     cells' bytes are the backbone-inclusive grand total. *)
   let run =
-    match cell.sketch with
-    | Spec.Fm ->
-      Sim.Dc_fm.run ?transport ?sink ?spans ~seed ~faults
-        ~family:
-          (Wd_sketch.Fm.with_estimator est
-             (Wd_sketch.Fm.family_of_params ~alpha:acc ~delta ~seed))
-        ~algorithm ~theta ~alpha:acc stream
-    | Spec.Bjkst ->
-      Dc_bjkst.run ?transport ?sink ?spans ~seed ~faults
-        ~family:
-          (Wd_sketch.Bjkst.with_estimator est
-             (Wd_sketch.Bjkst.family_of_params ~alpha:acc ~delta ~seed))
-        ~algorithm ~theta ~alpha:acc stream
-    | Spec.Hll ->
-      Dc_hll.run ?transport ?sink ?spans ~seed ~faults
-        ~family:
-          (Wd_sketch.Hyperloglog.with_estimator est
-             (Wd_sketch.Hyperloglog.family_of_params ~alpha:acc ~delta ~seed))
-        ~algorithm ~theta ~alpha:acc stream
-    | Spec.Fmc ->
-      Dc_fmc.run ?transport ?sink ?spans ~seed ~faults
-        ~family:
-          (Wd_sketch.Fm_concentrated.with_estimator est
-             (Wd_sketch.Fm_concentrated.family_of_params ~alpha:acc ~delta
-                ~seed))
-        ~algorithm ~theta ~alpha:acc stream
+    Sim.run ?transport ?topology ?sink ?spans ~seed ~faults
+      ~views:(dc_satellites cell ~theta ~alpha:acc algorithm)
+      (Query.dc
+         ~sketch:(query_sketch cell.sketch)
+         ~estimator:(sketch_estimator cell)
+         ~confidence:(1.0 -. cell.delta)
+         ~theta ~alpha:acc algorithm)
+      stream
   in
-  let truth = max 1 run.Sim.dc_final_truth in
+  let truth = max 1 run.Sim.final_truth in
   let err =
-    Float.abs (run.Sim.dc_final_estimate -. Float.of_int truth)
+    Float.abs (run.Sim.final_estimate -. Float.of_int truth)
     /. Float.of_int truth
   in
   (* Continuous-tracking check: over the settled second half of the run,
      the coordinator's estimate must sit inside the alpha band nearly
      always (the pointwise guarantee holds with probability 1 - delta,
      so demand 1 - 2*delta of the samples). *)
-  let series = run.Sim.dc_error_series in
+  let series = run.Sim.error_series in
   let n = Array.length series in
   let tail = Array.sub series (n / 2) (n - (n / 2)) in
   let in_band =
@@ -304,7 +234,12 @@ let dc_rep cfg (cell : Spec.cell) ~seed ?transport ?sink ?spans stream =
       ~distinct:(Stream.distinct_count stream) ~theta ~sketch_bytes:swb
       ~exact_bytes:(Sim.exact_dc_bytes stream)
   in
-  ( { err; success; bytes = run.Sim.dc_total_bytes; msgs = run.Sim.dc_sends },
+  ( {
+      err;
+      success;
+      bytes = run.Sim.total_bytes + run.Sim.backbone_bytes;
+      msgs = run.Sim.sends;
+    },
     bound,
     opt_lb )
 

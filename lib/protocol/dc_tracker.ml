@@ -30,8 +30,6 @@ let algorithm_of_string s =
   | _ -> None
 
 module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
-  module Engine = Sharded.Make (Sketch)
-
   type site_state = {
     mutable sk : Sketch.t;
     (* Local sketch.  Under NS/SC it summarizes only the local stream;
@@ -83,11 +81,6 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     net : Network.t; (* its ledger, cached for accounting reads *)
     site_states : site_state array;
     sk0 : Sketch.t; (* coordinator's merged sketch (unused by EC) *)
-    (* Sharded coordinator: contributions are routed to per-shard worker
-       domains and merged into [sk0] at publish points (see
-       {!Sharded}).  [None] keeps the historical inline merge. *)
-    sharding : Engine.t option;
-    mutable sk0_dirty : bool; (* sharded NS: submits not yet published *)
     mutable d0 : float; (* coordinator's current estimate *)
     exact : (int, unit) Hashtbl.t; (* EC only: coordinator's exact set *)
     max_retries : int;
@@ -101,15 +94,10 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
 
   let create ?(cost_model = Network.Unicast) ?network ?transport
       ?(item_batching = true) ?(delta_replies = true) ?(max_retries = 5)
-      ?(sink = Sink.null) ?(shards = 1) ~algorithm ~theta ~sites ~family () =
+      ?(sink = Sink.null) ~algorithm ~theta ~sites ~family () =
     if sites < 1 then invalid_arg "Dc_tracker.create: sites must be >= 1";
     if algorithm <> EC && theta <= 0.0 then
       invalid_arg "Dc_tracker.create: theta must be positive";
-    if shards < 1 then invalid_arg "Dc_tracker.create: shards must be >= 1";
-    if shards > 1 && algorithm = EC then
-      invalid_arg
-        "Dc_tracker.create: EC keeps an exact set, not a mergeable sketch; \
-         sharding does not apply";
     let transport =
       match (transport, network) with
       | Some _, Some _ ->
@@ -153,9 +141,6 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
       net;
       site_states = Array.init sites (fun _ -> fresh_site ());
       sk0 = Sketch.create family;
-      sharding =
-        (if shards > 1 then Some (Engine.create ~shards ~family ()) else None);
-      sk0_dirty = false;
       d0 = 0.0;
       exact = Hashtbl.create 1024;
       max_retries;
@@ -174,14 +159,6 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
   let updates t = t.updates
   let set_sink t sink = t.sink <- sink
 
-  let shards t =
-    match t.sharding with None -> 1 | Some eng -> Engine.shards eng
-
-  let shard_merges t =
-    match t.sharding with
-    | None -> None
-    | Some eng -> Some (Engine.merges_per_shard eng)
-
   let emit t kind =
     if Sink.enabled t.sink then
       Sink.emit t.sink { Event.time = t.updates; kind }
@@ -193,39 +170,17 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
   let lost_updates t =
     Array.fold_left (fun acc st -> acc + st.lost) 0 t.site_states
 
-  (* Publish point of the sharded merge path: drain the engine, merge
-     every shard partial into [sk0] and refresh [d0].  Only sharded NS
-     ever defers (it has no coordinator reaction that reads the global
-     state per send); the other algorithms sync inside
-     [deliver_contribution], so this is a no-op for them. *)
-  let publish t =
-    match t.sharding with
-    | None -> ()
-    | Some eng ->
-      if t.sk0_dirty then begin
-        Engine.sync eng ~into:t.sk0;
-        t.sk0_dirty <- false;
-        let d0_old = t.d0 in
-        t.d0 <- Sketch.estimate t.sk0;
-        if t.d0 <> d0_old then
-          emit t (Event.Estimate_update { previous = d0_old; estimate = t.d0 })
-      end
-
   let estimate t =
     match t.algorithm with
     | EC -> Float.of_int (Hashtbl.length t.exact)
-    | NS | SC | SS | LS ->
-      publish t;
-      t.d0
+    | NS | SC | SS | LS -> t.d0
 
   let site_estimate t i = t.site_states.(i).d_est
 
   let coordinator_sketch t =
     match t.algorithm with
     | EC -> None
-    | NS | SC | SS | LS ->
-      publish t;
-      Some t.sk0
+    | NS | SC | SS | LS -> Some t.sk0
 
   let site_sketch t i =
     match t.algorithm with
@@ -366,55 +321,18 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     if delivery.Network.received then forward_through_tree t i st ~use_items;
     let changed =
       if not delivery.Network.received then false
-      else
-        match t.sharding with
-        | None ->
-          if use_items then
-            Hashtbl.fold
-              (fun v () changed ->
-                ignore (Sketch.add st.coord_known v : bool);
-                Sketch.add t.sk0 v || changed)
-              st.pending false
-          else begin
-            Sketch.merge_into ~dst:st.coord_known st.sk;
-            let before = Sketch.copy t.sk0 in
-            Sketch.merge_into ~dst:t.sk0 st.sk;
-            not (Sketch.equal before t.sk0)
-          end
-        | Some eng ->
-          (* The per-site model [coord_known] stays on this thread (it
-             has one writer anyway); only the global merge crosses
-             shards.  NS has no coordinator reaction reading the global
-             state, so its submits stay queued until the next publish
-             point; the other algorithms read [sk0]/[d0] immediately in
-             [coordinator_react], so they sync here — every read of the
-             published state sees exactly the single-domain result. *)
-          if use_items then begin
-            let items = Array.make (Hashtbl.length st.pending) 0 in
-            let j = ref 0 in
-            Hashtbl.iter
-              (fun v () ->
-                ignore (Sketch.add st.coord_known v : bool);
-                items.(!j) <- v;
-                incr j)
-              st.pending;
-            Engine.submit_items eng ~site:i items
-          end
-          else begin
-            Sketch.merge_into ~dst:st.coord_known st.sk;
-            Engine.submit eng ~site:i (Sketch.copy st.sk)
-          end;
-          t.sk0_dirty <- true;
-          if t.algorithm = NS then false
-          else begin
-            let before = Sketch.copy t.sk0 in
-            Engine.sync eng ~into:t.sk0;
-            t.sk0_dirty <- false;
-            (* Exact also for the items path: sketches grow monotonically
-               under [add]/[merge_into], so "some add changed the state"
-               and "the drained merge left a different state" coincide. *)
-            not (Sketch.equal before t.sk0)
-          end
+      else if use_items then
+        Hashtbl.fold
+          (fun v () changed ->
+            ignore (Sketch.add st.coord_known v : bool);
+            Sketch.add t.sk0 v || changed)
+          st.pending false
+      else begin
+        Sketch.merge_into ~dst:st.coord_known st.sk;
+        let before = Sketch.copy t.sk0 in
+        Sketch.merge_into ~dst:t.sk0 st.sk;
+        not (Sketch.equal before t.sk0)
+      end
     in
     if delivery.Network.acked then begin
       Hashtbl.reset st.pending;
@@ -431,15 +349,9 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
      view and catches up on a later exchange. *)
   let coordinator_react t ~sender:i ~acked ~sk0_changed =
     let d0_old = t.d0 in
-    (* Sharded NS defers the global estimate to the next publish point
-       (it reads nothing global here); everyone else just synced in
-       [deliver_contribution], so [sk0] is current. *)
-    (match t.sharding with
-    | Some _ when t.algorithm = NS -> ()
-    | None | Some _ ->
-      t.d0 <- Sketch.estimate t.sk0;
-      if t.d0 <> d0_old then
-        emit t (Event.Estimate_update { previous = d0_old; estimate = t.d0 }));
+    t.d0 <- Sketch.estimate t.sk0;
+    if t.d0 <> d0_old then
+      emit t (Event.Estimate_update { previous = d0_old; estimate = t.d0 });
     match t.algorithm with
     | NS -> ()
     | SC ->
@@ -709,23 +621,12 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     match t.algorithm with
     | EC -> Wire.item_bytes * Hashtbl.length t.exact
     | NS | SC | SS | LS ->
-      publish t;
       Sketch.size_bytes t.sk0
       + (if t.delta_replies then
            Array.fold_left
              (fun acc st -> acc + Sketch.size_bytes st.coord_known)
              0 t.site_states
          else 0)
-
-  (* Publish any deferred sharded merges and join the worker domains.
-     A no-op without sharding; idempotent; the tracker stays readable
-     afterwards (observing again would raise from the closed engine). *)
-  let close t =
-    match t.sharding with
-    | None -> ()
-    | Some eng ->
-      publish t;
-      Engine.close eng
 
   (* The shared-surface view drivers dispatch over (Tracker_intf). *)
   module Generic = struct

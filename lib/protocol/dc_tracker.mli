@@ -61,7 +61,6 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
     ?delta_replies:bool ->
     ?max_retries:int ->
     ?sink:Wd_obs.Sink.t ->
-    ?shards:int ->
     algorithm:algorithm ->
     theta:float ->
     sites:int ->
@@ -92,27 +91,8 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) : sig
       update path.  [max_retries] (default 5) bounds retransmissions per
       reliable exchange when the shared network carries an enabled
       {!Wd_net.Faults.plan}; with no fault plan the tracker behaves — and
-      spends — exactly as the reliable-channel protocol.  [shards]
-      (default 1) > 1 routes the coordinator's global sketch merges
-      through a {!Sharded} engine of that many OCaml 5 worker domains:
-      site contributions land in per-shard partials and are published
-      into [Sk_0] merge-then-publish, which the sketch merge laws make
-      order-insensitive — every published read equals the single-domain
-      result.  NS (whose coordinator is a pure merge sink) defers
-      publishing to the next {!estimate}/{!close}; SC/SS/LS read global
-      state on every send and therefore sync per send.  Not applicable
-      to [EC] (raises).  Requires [sites >= 1] and [theta > 0]. *)
-
-  val close : t -> unit
-  (** Publish any deferred sharded merges and join the worker domains;
-      a no-op without sharding.  Idempotent.  Call when done observing
-      (the simulator drivers do). *)
-
-  val shards : t -> int
-  (** Coordinator shard count (1 = historical inline merge). *)
-
-  val shard_merges : t -> int array option
-  (** Per-shard merged-job counts ([None] without sharding). *)
+      spends — exactly as the reliable-channel protocol.  Requires
+      [sites >= 1] and [theta > 0]. *)
 
   val set_sink : t -> Wd_obs.Sink.t -> unit
   (** Attach a trace sink for protocol-decision events.  Network-level

@@ -22,10 +22,7 @@
 
     Sketches are mergeable only within one family, and families are
     comparable only on one plane.  The memo makes a plane single-writer:
-    do not interleave adds on one plane from multiple domains (the
-    sharded coordinator's parallel merge engine is therefore off-limits
-    to fanout-backed trackers; merges alone would be safe, but the
-    registry rejects the combination outright). *)
+    do not interleave adds on one plane from multiple domains. *)
 
 type plane
 (** One shared hash + memo + register arena. *)

@@ -157,16 +157,15 @@ let compile_selector ~sites sel =
 let mle = Wd_sketch.Sketch_intf.Mle
 
 (* Construct one view's tracker.  The primary routes the caller's
-   transport/sink/shards; satellites get fresh simulator transports so
-   their traffic is ledgered independently. *)
+   transport/sink; satellites get fresh simulator transports so their
+   traffic is ledgered independently. *)
 let compile ~cost_model ~item_batching ~plane ~default_window ~seed ~sites
-    ~transport ~sink ~shards index (q : Query.t) =
+    ~transport ~sink index (q : Query.t) =
   let vseed = Option.value q.Query.seed ~default:(seed + index) in
   let rng = Rng.create vseed in
   let primary = index = 0 in
   let transport = if primary then transport else None in
   let sink = if primary then sink else Sink.null in
-  let shards = if primary then shards else 1 in
   let accept, rebase, vsites = compile_selector ~sites q.Query.selector in
   let backing =
     match q.Query.protocol with
@@ -187,7 +186,7 @@ let compile ~cost_model ~item_batching ~plane ~default_window ~seed ~sites
           else family
         in
         B_dc_fm
-          (Dc_fm.create ~cost_model ?transport ~item_batching ~sink ~shards
+          (Dc_fm.create ~cost_model ?transport ~item_batching ~sink
              ~algorithm ~theta ~sites:vsites ~family ())
       | Query.Bjkst ->
         let family = Wd_sketch.Bjkst.family ~rng ~accuracy:alpha ~confidence in
@@ -197,7 +196,7 @@ let compile ~cost_model ~item_batching ~plane ~default_window ~seed ~sites
           else family
         in
         B_dc_bjkst
-          (Dc_bjkst.create ~cost_model ?transport ~item_batching ~sink ~shards
+          (Dc_bjkst.create ~cost_model ?transport ~item_batching ~sink
              ~algorithm ~theta ~sites:vsites ~family ())
       | Query.Hll ->
         let family =
@@ -209,7 +208,7 @@ let compile ~cost_model ~item_batching ~plane ~default_window ~seed ~sites
           else family
         in
         B_dc_hll
-          (Dc_hll.create ~cost_model ?transport ~item_batching ~sink ~shards
+          (Dc_hll.create ~cost_model ?transport ~item_batching ~sink
              ~algorithm ~theta ~sites:vsites ~family ())
       | Query.Fmc ->
         let family =
@@ -221,7 +220,7 @@ let compile ~cost_model ~item_batching ~plane ~default_window ~seed ~sites
           else family
         in
         B_dc_fmc
-          (Dc_fmc.create ~cost_model ?transport ~item_batching ~sink ~shards
+          (Dc_fmc.create ~cost_model ?transport ~item_batching ~sink
              ~algorithm ~theta ~sites:vsites ~family ())
       | Query.Fanout ->
         let family =
@@ -235,7 +234,7 @@ let compile ~cost_model ~item_batching ~plane ~default_window ~seed ~sites
         in
         B_dc_fanout
           (Dc_fanout.create ~cost_model ?transport ~item_batching ~sink
-             ~shards ~algorithm ~theta ~sites:vsites ~family ()))
+             ~algorithm ~theta ~sites:vsites ~family ()))
     | Query.Ds algorithm ->
       let theta =
         if algorithm = Ds.EDS then Float.max q.Query.theta 0.1
@@ -351,26 +350,11 @@ let build_routes view_arr =
            })
   |> Array.of_list
 
-let is_fanout (q : Query.t) =
-  match q.Query.protocol with
-  | Query.Dc _ -> q.Query.sketch = Query.Fanout
-  | _ -> false
-
 let create ?(cost_model = Wd_net.Network.Unicast) ?transport
-    ?(item_batching = true) ?(sink = Sink.null) ?(shards = 1) ?plane_capacity
+    ?(item_batching = true) ?(sink = Sink.null) ?plane_capacity
     ?default_window ~seed ~sites queries =
   if queries = [] then invalid_arg "Wd_view.Registry.create: no queries";
   if sites < 1 then invalid_arg "Wd_view.Registry.create: sites must be >= 1";
-  if shards > 1 && List.exists is_fanout queries then
-    invalid_arg
-      "Wd_view.Registry.create: the fanout plane is single-writer; sharded \
-       coordinators are not supported with fanout views";
-  (match (shards > 1, queries) with
-  | true, q :: _ when (match q.Query.protocol with Query.Dc _ -> false | _ -> true)
-    ->
-    invalid_arg
-      "Wd_view.Registry.create: shards apply to a DC primary only"
-  | _ -> ());
   (match (transport, queries) with
   | Some _, q :: _
     when (match q.Query.protocol with Query.Window _ -> true | _ -> false) ->
@@ -386,7 +370,7 @@ let create ?(cost_model = Wd_net.Network.Unicast) ?transport
     Array.of_list queries
     |> Array.mapi
          (compile ~cost_model ~item_batching ~plane ~default_window ~seed
-            ~sites ~transport ~sink ~shards)
+            ~sites ~transport ~sink)
   in
   let plane = if Lazy.is_val plane then Some (Lazy.force plane) else None in
   {
@@ -492,13 +476,6 @@ let packed t =
   else Tracker_intf.Tracker ((module Fan), t)
 
 let close_view v =
-  (match v.backing with
-  | B_dc_fm tr -> Dc_fm.close tr
-  | B_dc_bjkst tr -> Dc_bjkst.close tr
-  | B_dc_hll tr -> Dc_hll.close tr
-  | B_dc_fmc tr -> Dc_fmc.close tr
-  | B_dc_fanout tr -> Dc_fanout.close tr
-  | B_ds _ | B_hh _ | B_window _ | B_yzhh _ | B_yzq _ -> ());
   match v.backing with
   | B_window _ -> ()
   | _ -> Transport.close (Tracker_intf.transport v.tracker)

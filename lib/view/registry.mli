@@ -3,8 +3,8 @@
     surface.
 
     A registry holds an ordered list of views.  View [0] is the
-    {e primary}: it receives the caller's transport, trace sink and shard
-    engine, exactly as a standalone tracker would — a one-view registry
+    {e primary}: it receives the caller's transport and trace sink,
+    exactly as a standalone tracker would — a one-view registry
     over the whole stream ([selector = All]) {e is} its tracker,
     bit-for-bit ({!packed} returns the view's own tracker, so batching,
     byte accounting and trace events are untouched).  Satellite views run
@@ -17,9 +17,7 @@
     scales with the number of distinct moduli, not the number of views.  Views whose queries name the [Fanout] sketch share
     one {!Fanout_sketch.plane} — one mixed-tabulation hash evaluation per
     item serves every subscribed view, and their registers live in one
-    arena.  The plane is single-writer, so a fanout view cannot be
-    combined with a sharded coordinator ({!create} rejects
-    [shards > 1] in that case). *)
+    arena. *)
 
 type t
 
@@ -28,7 +26,6 @@ val create :
   ?transport:Wd_net.Transport.t ->
   ?item_batching:bool ->
   ?sink:Wd_obs.Sink.t ->
-  ?shards:int ->
   ?plane_capacity:int ->
   ?default_window:int ->
   seed:int ->
@@ -38,15 +35,14 @@ val create :
 (** [create ~seed ~sites queries] compiles every query into a running
     tracker.  A view's hash seed is [Query.seed] when set, else
     [seed + index] — so view [0] with no explicit seed reproduces a
-    standalone run at [seed] exactly.  [transport], [sink] and [shards]
-    apply to the primary only; [cost_model] and [item_batching] apply
+    standalone run at [seed] exactly.  [transport] and [sink] apply to
+    the primary only; [cost_model] and [item_batching] apply
     everywhere.  [default_window] resolves window queries with
     [window = 0] (required if any such query is present).
     [plane_capacity] presizes the shared fanout arena (in registers).
 
     Raises [Invalid_argument] if [queries] is empty, a [Sites] selector
-    falls outside [0 .. sites - 1], [shards > 1] is combined with a
-    fanout view or a non-DC primary, or [transport] is passed with a
+    falls outside [0 .. sites - 1], or [transport] is passed with a
     window primary (window trackers have no transport). *)
 
 val views : t -> int
@@ -86,5 +82,4 @@ val yzhh_tracker : t -> int -> Wd_protocol.Yz_hh_tracker.t option
 val yzq_tracker : t -> int -> Wd_aggregate.Yz_quantile_tracker.t option
 
 val close : t -> unit
-(** Close every view, primary first: publish deferred sharded merges,
-    join worker domains, close transports.  Idempotent. *)
+(** Close every view's transport, primary first.  Idempotent. *)

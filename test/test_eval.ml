@@ -623,6 +623,25 @@ let test_top_trace_frame () =
           "missing trace is a clean error" true
           (contains missing "no such trace file"))
 
+(* Every subcommand's help page renders without doc-markup errors: a
+   bad escape in a doc string makes cmdliner print "cmdliner error"
+   lines ahead of the page and drop the offending text. *)
+let test_help_pages () =
+  match wdmon with
+  | None -> Alcotest.skip ()
+  | Some wdmon ->
+    List.iter
+      (fun cmd ->
+        let text =
+          run_cli (Printf.sprintf "%s %s --help=plain" (Filename.quote wdmon) cmd)
+        in
+        if contains text "cmdliner error" then
+          Alcotest.failf "wdmon %s --help:\n%s" cmd text)
+      [
+        "coord"; "dc"; "ds"; "eval"; "experiment"; "hh"; "inspect"; "list";
+        "relay"; "run"; "top"; "workload";
+      ]
+
 let () =
   Alcotest.run "eval"
     [
@@ -661,5 +680,7 @@ let () =
           Alcotest.test_case "inspect fault columns" `Quick
             test_inspect_fault_columns;
           Alcotest.test_case "top trace frame" `Quick test_top_trace_frame;
+          Alcotest.test_case "help pages render cleanly" `Quick
+            test_help_pages;
         ] );
     ]

@@ -386,9 +386,6 @@ let test_registry_validation () =
   raises "residue >= modulus" (fun () ->
       Registry.create ~seed:1 ~sites:4
         [ { dc with Query.selector = Query.Key_mod { modulus = 3; residue = 3 } } ]);
-  raises "shards with a fanout view" (fun () ->
-      Registry.create ~seed:1 ~sites:4 ~shards:2
-        [ dc; { dc with Query.sketch = Query.Fanout } ]);
   raises "window query needs a width" (fun () ->
       Registry.create ~seed:1 ~sites:4
         [ Query.window ~theta:0.05 ~alpha:0.1 W.LS ])
