@@ -845,7 +845,7 @@ let coord_cmd =
         (match (http, metrics) with
         | Some h, Some m ->
           (* Polled on every clock tick; throttle the accept syscall to
-             one per 64 updates. *)
+             one per 64 ticks. *)
           let tick = ref 0 in
           Tcp.Coordinator.set_on_poll coord
             (Some

@@ -152,6 +152,20 @@ let site_send_threshold t i =
       "Yz_quantile_tracker.site_send_threshold: site index out of range";
   Float.of_int (delta_of t t.site_states.(i).round_d)
 
+(* The clock contract of {!Transport.S.set_time}: the update count
+   reaches the transport only when something reads it.  Every call that
+   can move a message takes its transport from [synced] (or its ledger
+   from [synced_net]), so none goes out with a stale clock. *)
+let sync t = Transport.set_time t.transport t.updates
+
+let synced t =
+  sync t;
+  t.transport
+
+let synced_net t =
+  sync t;
+  t.net
+
 (* Store-and-forward over a tree backbone: a mid-route aggregator could
    in principle dedup items across subtrees, but the coordinator
    structure is already duplicate-resilient, so the reference protocol
@@ -163,7 +177,8 @@ let forward_path t ~site ~payload =
     (try
        List.iter
          (fun j ->
-           if not (Network.forward_up t.net ~agg:j ~payload) then raise Exit)
+           if not (Network.forward_up (synced_net t) ~agg:j ~payload) then
+             raise Exit)
          (Topology.path_of_site topo site)
      with Exit -> ())
 
@@ -176,7 +191,7 @@ let maybe_advance_round t =
     done;
     emit t (Event.Level_advance { previous = 0; level = t.round_d });
     let outcomes =
-      Transport.transmit_broadcast t.transport ~except:None
+      Transport.transmit_broadcast (synced t) ~except:None
         ~payload:Wire.count_bytes
     in
     Array.iteri
@@ -199,7 +214,7 @@ let flush_batch t site st =
         (Event.Sketch_sent
            { site; bytes = Wire.message ~payload; items = Some st.batch_len });
     let delivery =
-      Transport.reliable_up ~max_retries:t.max_retries t.transport ~site
+      Transport.reliable_up ~max_retries:t.max_retries (synced t) ~site
         ~payload
     in
     t.sends <- t.sends + 1;
@@ -243,8 +258,10 @@ let scan_crashes t =
 
 let[@inline] observe_one t ~crashes ~site v =
   t.updates <- t.updates + 1;
-  Transport.set_time t.transport t.updates;
-  if crashes then scan_crashes t;
+  if crashes then begin
+    sync t;
+    scan_crashes t
+  end;
   let st = t.site_states.(site) in
   if st.down then st.lost <- st.lost + 1
   else begin
@@ -260,7 +277,8 @@ let[@inline] observe_one t ~crashes ~site v =
 let observe t ~site v =
   if site < 0 || site >= t.k then
     invalid_arg "Yz_quantile_tracker.observe: site index out of range";
-  observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v
+  observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v;
+  sync t
 
 let observe_batch t ~sites ~items ~pos ~len =
   let n = Array.length sites in
@@ -275,7 +293,8 @@ let observe_batch t ~sites ~items ~pos ~len =
     if site < 0 || site >= k then
       invalid_arg "Yz_quantile_tracker.observe_batch: site index out of range";
     observe_one t ~crashes ~site (Array.unsafe_get items j)
-  done
+  done;
+  if len > 0 then sync t
 
 (* The shared-surface view drivers dispatch over (Tracker_intf). *)
 module Generic = struct

@@ -30,7 +30,7 @@ let[@inline] trailing_zeros32 v =
   Array.unsafe_get debruijn32
     ((((v land -v) * 0x077C_B531) land 0xFFFF_FFFF) lsr 27)
 
-let trailing_zeros_int w =
+let[@inline] trailing_zeros_int w =
   let low = w land 0xFFFF_FFFF in
   if low <> 0 then trailing_zeros32 low
   else if w = 0 then 63
@@ -42,6 +42,14 @@ let trailing_zeros_int w =
    count is 63 or 64, and the cap makes both answers 63 — so the
    native-int path is bit-for-bit [min 63 (trailing_zeros (hash h v))],
    and never boxes. *)
-let level h v =
-  let low = Universal.bits h ~shift:0 v in
-  if low = 0 then 63 else trailing_zeros_int low
+let[@inline] level_of_low low = if low = 0 then 63 else trailing_zeros_int low
+
+let level h v = level_of_low (Universal.bits h ~shift:0 v)
+
+(* The block twin of [level]: hash the block in one call, then count
+   trailing zeros in place. *)
+let levels h ~src ~pos ~len ~dst =
+  Universal.bits_block h ~shift:0 ~src ~pos ~len ~dst;
+  for j = 0 to len - 1 do
+    Array.unsafe_set dst j (level_of_low (Array.unsafe_get dst j))
+  done

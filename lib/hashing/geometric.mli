@@ -20,3 +20,11 @@ val level : Universal.t -> int -> int
     the count of trailing zeros of the hashed word, capped at 63.
     [Pr[level h v >= l] = 2^-l] for [l <= 63] over the choice of [h].
     Allocation-free (through {!Universal.bits}). *)
+
+val levels :
+  Universal.t -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** [levels h ~src ~pos ~len ~dst] sets [dst.(j) <- level h src.(pos + j)]
+    for [0 <= j < len], one call per block (through
+    {!Universal.bits_block}) and nothing called or allocated per item.
+    Raises [Invalid_argument] unless [src.(pos .. pos + len - 1)] and
+    [dst.(0 .. len - 1)] exist. *)

@@ -31,6 +31,20 @@ val mix_bits : premixed:int64 -> shift:int -> int -> int
     This is {!Universal}'s seeded family on its per-item paths: an [int64]
     crossing a module boundary is boxed (3 words), a native int is not. *)
 
+val mix_bits_block :
+  premixed:int64 ->
+  shift:int ->
+  src:int array ->
+  pos:int ->
+  len:int ->
+  dst:int array ->
+  unit
+(** [mix_bits_block ~premixed ~shift ~src ~pos ~len ~dst] sets
+    [dst.(j) <- mix_bits ~premixed ~shift src.(pos + j)] for
+    [0 <= j < len]: a block of keys hashed in one call, with nothing
+    called or allocated per key.  Raises [Invalid_argument] unless
+    [src.(pos .. pos + len - 1)] and [dst.(0 .. len - 1)] exist. *)
+
 (** {1 Sequential generator} *)
 
 type t

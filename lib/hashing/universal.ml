@@ -38,6 +38,20 @@ let bits h ~shift x =
          (multiply_shift_word a b (Int64.of_int x))
          shift)
 
+let bits_block h ~shift ~src ~pos ~len ~dst =
+  match h with
+  | Mixer premixed ->
+    Splitmix.mix_bits_block ~premixed ~shift ~src ~pos ~len ~dst
+  | Multiply_shift _ ->
+    if
+      pos < 0 || len < 0
+      || pos + len > Array.length src
+      || len > Array.length dst
+    then invalid_arg "Universal.bits_block: slice out of range";
+    for j = 0 to len - 1 do
+      Array.unsafe_set dst j (bits h ~shift (Array.unsafe_get src (pos + j)))
+    done
+
 let to_range h ~buckets x =
   if buckets <= 0 then invalid_arg "Universal.to_range: buckets must be > 0";
   (* Use the top 62 bits to stay within OCaml's native int range. *)

@@ -30,6 +30,15 @@ val bits : t -> shift:int -> int -> int
     sketches go through this (or {!to_range}) rather than {!hash}, whose
     [int64] result is boxed once it leaves this module. *)
 
+val bits_block :
+  t -> shift:int -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** [bits_block h ~shift ~src ~pos ~len ~dst] sets
+    [dst.(j) <- bits h ~shift src.(pos + j)] for [0 <= j < len].  The
+    seeded family hashes the whole block in {!Splitmix.mix_bits_block},
+    so a block costs one call, not one per key.  Raises
+    [Invalid_argument] unless [src.(pos .. pos + len - 1)] and
+    [dst.(0 .. len - 1)] exist. *)
+
 val to_range : t -> buckets:int -> int -> int
 (** [to_range h ~buckets x] maps [x] uniformly onto [\[0, buckets)].
     Requires [buckets > 0]. *)

@@ -51,7 +51,13 @@ val sink : t -> Wd_obs.Sink.t
 val set_time : t -> int -> unit
 (** Set the logical clock stamped on emitted events (callers pass their
     update index).  Also the clock against which {!Faults.crash} windows
-    are evaluated, so fault-injected runs must keep it current. *)
+    are evaluated and fault rolls are drawn.  It is read only when
+    something crosses the network or a crash window is tested, so a
+    caller need not set it on every update: setting it before each send
+    or forward, on every update while the plan has crash windows, and
+    before handing control back to readers gives the same trace as
+    setting it every update ({!Transport.S.set_time} states the
+    trackers' contract). *)
 
 val time : t -> int
 

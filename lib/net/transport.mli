@@ -101,7 +101,23 @@ module type S = sig
 
       [set_time] is the crash hook: wire-backed carriers evaluate crash
       windows here, detaching a crashed site at window entry and
-      reattaching it at window exit. *)
+      reattaching it at window exit.
+
+      The clock contract: the tracker that drives a transport owns the
+      logical clock (its update count) and pushes it here only when
+      something reads it, not on every update:
+      - before every call that can move a message (sends, broadcasts,
+        acked exchanges, backbone forwards), which stamp ledger events
+        and spans and roll faults at the current {!time};
+      - once per update while the fault plan has crash windows, so
+        {!site_down} and the carrier's crash hook see every window
+        boundary;
+      - at the end of every [observe] and [observe_batch] call, so a
+        reader between calls sees the clock at the last update.
+
+      A quiet update inside [observe_batch] therefore makes no transport
+      call.  A run stamps the same times as one that set the clock
+      before every update. *)
 
   val set_time : t -> int -> unit
   val time : t -> int

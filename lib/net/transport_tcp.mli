@@ -104,9 +104,12 @@ module Coordinator : sig
   val set_on_poll : t -> (unit -> unit) option -> unit
   (** Install a driver hook run on every [set_time] tick, after crash
       windows are handled — the natural place to poll a
-      {!Metrics_http.t} endpoint from the synchronous event loop.  The
-      hook runs once per protocol update, so it should throttle itself
-      if its work is not trivially cheap. *)
+      {!Metrics_http.t} endpoint from the synchronous event loop.  A
+      tracker ticks before each message it moves, at the end of each
+      [observe]/[observe_batch] call, and on every update while the
+      fault plan has crash windows (the clock contract of
+      {!Transport.S.set_time}), so the hook should throttle itself if
+      its work is not trivially cheap. *)
 end
 
 (** The relay half: one process serving a contiguous range of sites

@@ -163,6 +163,20 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     if Sink.enabled t.sink then
       Sink.emit t.sink { Event.time = t.updates; kind }
 
+  (* The clock contract of {!Transport.S.set_time}: the update count
+     reaches the transport only when something reads it.  Every call
+     that can move a message takes its transport from [synced] (or its
+     ledger from [synced_net]), so none goes out with a stale clock. *)
+  let sync t = Transport.set_time t.transport t.updates
+
+  let synced t =
+    sync t;
+    t.transport
+
+  let synced_net t =
+    sync t;
+    t.net
+
   let site_down_for t i =
     let st = t.site_states.(i) in
     if st.down then t.updates - st.down_since else 0
@@ -259,7 +273,7 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
             match payload with
             | None -> continue := false
             | Some payload ->
-              ignore (Network.forward_up t.net ~agg:j ~payload : bool)
+              ignore (Network.forward_up (synced_net t) ~agg:j ~payload : bool)
           end)
         path
 
@@ -281,7 +295,9 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
             if Hashtbl.mem a.a_seen v then raise Exit;
             Hashtbl.replace a.a_seen v ();
             ignore
-              (Network.forward_up t.net ~agg:j ~payload:Wire.item_bytes : bool))
+              (Network.forward_up (synced_net t) ~agg:j
+                 ~payload:Wire.item_bytes
+                : bool))
           path
       with Exit -> ())
 
@@ -315,7 +331,8 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
       else (Sketch.size_bytes st.sk, None)
     in
     let delivery =
-      Transport.reliable_up ~max_retries:t.max_retries t.transport ~site:i ~payload
+      Transport.reliable_up ~max_retries:t.max_retries (synced t) ~site:i
+        ~payload
     in
     emit_sketch_sent t ~site:i ~payload ~items;
     if delivery.Network.received then forward_through_tree t i st ~use_items;
@@ -357,7 +374,7 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     | SC ->
       if t.d0 <> d0_old then begin
         let outcomes =
-          Transport.transmit_broadcast t.transport ~except:None
+          Transport.transmit_broadcast (synced t) ~except:None
             ~payload:Wire.count_bytes
         in
         Array.iteri
@@ -376,7 +393,7 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
       if acked then sender_st.d0_known <- sender_st.d_est;
       if sk0_changed then begin
         let outcomes =
-          Transport.transmit_broadcast t.transport ~except:(Some i)
+          Transport.transmit_broadcast (synced t) ~except:(Some i)
             ~payload:(Sketch.size_bytes t.sk0)
         in
         Array.iteri
@@ -404,7 +421,8 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
         else Sketch.size_bytes t.sk0
       in
       let reply =
-        Transport.reliable_down ~max_retries:t.max_retries t.transport ~site:i ~payload
+        Transport.reliable_down ~max_retries:t.max_retries (synced t) ~site:i
+          ~payload
       in
       emit t (Event.Resync { site = i; bytes = Wire.message ~payload });
       if reply.Network.received then begin
@@ -429,7 +447,7 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     let st = t.site_states.(site) in
     if not (Hashtbl.mem st.seen v) then begin
       let delivery =
-        Transport.reliable_up ~max_retries:t.max_retries t.transport ~site
+        Transport.reliable_up ~max_retries:t.max_retries (synced t) ~site
           ~payload:Wire.item_bytes
       in
       (* Remember the item only when the coordinator confirmed it; an
@@ -460,14 +478,15 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     | NS | EC -> () (* no downstream state to replay; the site restarts cold *)
     | SC ->
       let d =
-        Transport.reliable_down ~max_retries:t.max_retries t.transport ~site:i
+        Transport.reliable_down ~max_retries:t.max_retries (synced t) ~site:i
           ~payload:Wire.count_bytes
       in
       if d.Network.received then st.d0_known <- t.d0
     | SS | LS ->
       let payload = Sketch.size_bytes t.sk0 in
       let d =
-        Transport.reliable_down ~max_retries:t.max_retries t.transport ~site:i ~payload
+        Transport.reliable_down ~max_retries:t.max_retries (synced t) ~site:i
+          ~payload
       in
       if d.Network.received then begin
         Sketch.merge_into ~dst:st.sk t.sk0;
@@ -560,8 +579,10 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
      update for update. *)
   let[@inline] observe_one t ~crashes ~site v =
     t.updates <- t.updates + 1;
-    Transport.set_time t.transport t.updates;
-    if crashes then scan_crashes t;
+    if crashes then begin
+      sync t;
+      scan_crashes t
+    end;
     let st = t.site_states.(site) in
     if st.down then
       (* A dead site observes nothing; the arrival is gone for good. *)
@@ -575,7 +596,8 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
   let observe t ~site v =
     if site < 0 || site >= t.k then
       invalid_arg "Dc_tracker.observe: site index out of range";
-    observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v
+    observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v;
+    sync t
 
   let observe_batch t ~sites ~items ~pos ~len =
     let n = Array.length sites in
@@ -602,6 +624,7 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
         invalid_arg "Dc_tracker.observe_batch: site index out of range";
       observe_one t ~crashes ~site (Array.unsafe_get items j)
     done;
+    if len > 0 then sync t;
     match spans with
     | None -> ()
     | Some r ->

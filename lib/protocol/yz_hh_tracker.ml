@@ -121,6 +121,20 @@ let lost_updates t =
 
 let find0 table v = Option.value (Hashtbl.find_opt table v) ~default:0
 
+(* The clock contract of {!Transport.S.set_time}: the update count
+   reaches the transport only when something reads it.  Every call that
+   can move a message takes its transport from [synced] (or its ledger
+   from [synced_net]), so none goes out with a stale clock. *)
+let sync t = Transport.set_time t.transport t.updates
+
+let synced t =
+  sync t;
+  t.transport
+
+let synced_net t =
+  sync t;
+  t.net
+
 (* The round's report threshold Delta = eps * ~N / (2k), floored at 1:
    each site's knowledge lag is < Delta per tracked quantity, so the
    coordinator's per-item and total lags stay within eps * N overall. *)
@@ -141,7 +155,8 @@ let forward_path t ~site ~payload =
     (try
        List.iter
          (fun j ->
-           if not (Network.forward_up t.net ~agg:j ~payload) then raise Exit)
+           if not (Network.forward_up (synced_net t) ~agg:j ~payload) then
+             raise Exit)
          (Topology.path_of_site topo site)
      with Exit -> ())
 
@@ -156,7 +171,7 @@ let maybe_advance_round t =
     done;
     emit t (Event.Level_advance { previous = 0; level = t.round_n });
     let outcomes =
-      Transport.transmit_broadcast t.transport ~except:None
+      Transport.transmit_broadcast (synced t) ~except:None
         ~payload:Wire.count_bytes
     in
     Array.iteri
@@ -173,7 +188,7 @@ let report t site st v c =
     emit t (Event.Count_sent { site; item = v; count = c; delta = c - find0 st.last_sent v });
   let payload = Wire.item_bytes + (2 * Wire.count_bytes) in
   let delivery =
-    Transport.reliable_up ~max_retries:t.max_retries t.transport ~site ~payload
+    Transport.reliable_up ~max_retries:t.max_retries (synced t) ~site ~payload
   in
   t.sends <- t.sends + 1;
   if delivery.Network.acked then begin
@@ -210,7 +225,7 @@ let resync_restarted t i st =
     Wire.count_bytes + Wire.item_count_pairs (Hashtbl.length tbl)
   in
   let d =
-    Transport.reliable_down ~max_retries:t.max_retries t.transport ~site:i
+    Transport.reliable_down ~max_retries:t.max_retries (synced t) ~site:i
       ~payload
   in
   if d.Network.received then begin
@@ -247,8 +262,10 @@ let scan_crashes t =
 
 let[@inline] observe_one t ~crashes ~site v =
   t.updates <- t.updates + 1;
-  Transport.set_time t.transport t.updates;
-  if crashes then scan_crashes t;
+  if crashes then begin
+    sync t;
+    scan_crashes t
+  end;
   let st = t.site_states.(site) in
   if st.down then st.lost <- st.lost + 1
   else begin
@@ -263,7 +280,8 @@ let[@inline] observe_one t ~crashes ~site v =
 let observe t ~site v =
   if site < 0 || site >= t.k then
     invalid_arg "Yz_hh_tracker.observe: site index out of range";
-  observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v
+  observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v;
+  sync t
 
 let observe_batch t ~sites ~items ~pos ~len =
   let n = Array.length sites in
@@ -278,7 +296,8 @@ let observe_batch t ~sites ~items ~pos ~len =
     if site < 0 || site >= k then
       invalid_arg "Yz_hh_tracker.observe_batch: site index out of range";
     observe_one t ~crashes ~site (Array.unsafe_get items j)
-  done
+  done;
+  if len > 0 then sync t
 
 let site_space_bytes t i =
   let st = t.site_states.(i) in

@@ -24,10 +24,19 @@ let level t = t.level
 
 let item_level t v = Geometric.level t.fam.hash v
 
+let levels t ~src ~pos ~len ~dst =
+  Geometric.levels t.fam.hash ~src ~pos ~len ~dst
+
+(* [v]'s binding, or 0 when it has none; no option is built. *)
+let find0 table v = try Hashtbl.find table v with Not_found -> 0
+
+(* In place: removing a binding keeps the bucket order and the table
+   size, so iteration order is what removal over a copy gave. *)
 let prune t =
-  Hashtbl.iter
-    (fun v _ -> if item_level t v < t.level then Hashtbl.remove t.table v)
-    (Hashtbl.copy t.table)
+  let l = t.level in
+  Hashtbl.filter_map_inplace
+    (fun v c -> if item_level t v < l then None else Some c)
+    t.table
 
 (* Raise the level until at most [threshold] items are retained. *)
 let rebalance t =
@@ -39,8 +48,7 @@ let rebalance t =
 let add_count t v c =
   if c < 0 then invalid_arg "Distinct_sampler.add_count: negative count";
   if c > 0 && item_level t v >= t.level then begin
-    let current = Option.value (Hashtbl.find_opt t.table v) ~default:0 in
-    Hashtbl.replace t.table v (current + c);
+    Hashtbl.replace t.table v (find0 t.table v + c);
     rebalance t
   end
 
@@ -53,8 +61,7 @@ let add_batch t vs =
   for i = 0 to Array.length vs - 1 do
     let v = Array.unsafe_get vs i in
     if Geometric.level hash v >= t.level then begin
-      let current = Option.value (Hashtbl.find_opt t.table v) ~default:0 in
-      Hashtbl.replace t.table v (current + 1);
+      Hashtbl.replace t.table v (find0 t.table v + 1);
       rebalance t
     end
   done
@@ -83,7 +90,7 @@ let set_level t l =
 
 let mem t v = Hashtbl.mem t.table v
 
-let count t v = Option.value (Hashtbl.find_opt t.table v) ~default:0
+let count t v = find0 t.table v
 
 let size t = Hashtbl.length t.table
 
@@ -101,8 +108,7 @@ let merge_into ~dst src =
   Hashtbl.iter
     (fun v c ->
       if item_level dst v >= dst.level then begin
-        let current = Option.value (Hashtbl.find_opt dst.table v) ~default:0 in
-        Hashtbl.replace dst.table v (current + c)
+        Hashtbl.replace dst.table v (find0 dst.table v + c)
       end)
     src.table;
   rebalance dst

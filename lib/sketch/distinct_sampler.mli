@@ -47,6 +47,13 @@ val item_level : t -> int -> int
 (** [item_level t v] is the geometric level of [v] under the family hash
     (independent of the sampler state). *)
 
+val levels : t -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** [levels t ~src ~pos ~len ~dst] sets [dst.(j) <- item_level t
+    src.(pos + j)] for [0 <= j < len]: the level hash of a block of
+    items in one call ({!Wd_hashing.Geometric.levels}), with nothing
+    called or allocated per item.  Raises [Invalid_argument] unless
+    [src.(pos .. pos + len - 1)] and [dst.(0 .. len - 1)] exist. *)
+
 val add : t -> int -> unit
 (** [add t v] processes one arrival of [v]: retained items get their count
     incremented; over-threshold states trigger level increments. *)

@@ -14,7 +14,8 @@
    so an [int64] that crosses a module boundary, as argument or result,
    is boxed.  Hash words therefore stay inside one function and leave
    their module as native ints: [Mixed_tabulation.pcsa],
-   [Universal.bits]/[to_range], [Geometric.level], [Splitmix.mix_bits].
+   [Universal.bits]/[to_range], [Geometric.level], [Splitmix.mix_bits],
+   and their block twins, which fill a caller's [int array].
 
    What still allocates, and why:
    - [Hyperloglog] and [Bjkst] updates: they read all 64 bits of
@@ -23,9 +24,13 @@
      boxed as it leaves [Universal].
    - [Fm_array.pair_element]: [Splitmix.mix_seeded] takes and returns
      boxed [int64]s.
-   - Updates that change protocol state, which are not steady state: a
-     DS item entering a site's counts (hashtable insert, send), a DC
-     threshold crossing (message, estimate refresh). *)
+   - Updates that send or grow protocol state, which are not steady
+     state: a DS item entering a site's counts (hashtable insert), a DS
+     count report or level change (message, pruning), a DC threshold
+     crossing (message, estimate refresh).  A DS count increment that
+     sends nothing allocates nothing: table lookups raise [Not_found]
+     instead of building an option, and the send threshold is compared
+     unboxed. *)
 
 module Rng = Wd_hashing.Rng
 module Fmc = Wd_sketch.Fm_concentrated
@@ -183,6 +188,25 @@ let ds_lco_below_level () =
       Ds.observe_batch tr ~sites ~items:vs ~pos:0 ~len:(Array.length vs));
   Alcotest.(check int) "no site sent" sends (Ds.sends tr)
 
+(* Items at or above the sampling level that change a site's count but
+   stay under the send threshold: theta = 1e9 makes every report after
+   an item's first one wait, and the sampler threshold keeps the level
+   at 0.  The second pass only increments counts already in the
+   tables. *)
+let ds_passing_no_send () =
+  let family = Sampler.family ~rng:(Rng.create 11) ~threshold:100_000 in
+  let tr = Ds.create ~algorithm:Ds.LCO ~theta:1e9 ~sites:4 ~family () in
+  let vs = Array.init 20_000 (fun i -> i) in
+  let sites = Array.map (fun v -> v mod 4) vs in
+  let feed () =
+    Ds.observe_batch tr ~sites ~items:vs ~pos:0 ~len:(Array.length vs)
+  in
+  feed ();
+  Alcotest.(check int) "level 0" 0 (Ds.level tr);
+  let sends = Ds.sends tr in
+  check_quiet ~updates:(Array.length vs) feed;
+  Alcotest.(check int) "no site sent" sends (Ds.sends tr)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -209,5 +233,7 @@ let () =
           Alcotest.test_case "dc fmc registry quiet chunk" `Quick
             registry_quiet_chunk;
           Alcotest.test_case "ds lco below level" `Quick ds_lco_below_level;
+          Alcotest.test_case "ds passing update, no send" `Quick
+            ds_passing_no_send;
         ] );
     ]

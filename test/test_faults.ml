@@ -245,6 +245,72 @@ let monitor_degraded_status () =
   | Monitor.Healthy -> ()
   | Monitor.Degraded _ -> Alcotest.fail "no-fault monitor must be healthy"
 
+(* ------------------------------------------------------------------ *)
+(* Clock contract: syncing the ledger clock only when a message moves
+   stamps the same trace as setting it before every update. *)
+
+module Transport = Wd_net.Transport
+module Transport_sim = Wd_net.Transport_sim
+module Topology = Wd_net.Topology
+module Stream = Wd_workload.Stream
+
+let clock_sites = 4
+
+let clock_input =
+  lazy
+    (let s =
+       Stream_gen.zipf ~seed:11 ~sites:clock_sites ~events:20_000
+         ~universe:6_000 ()
+     in
+     ( Array.init (Stream.length s) (Stream.site s),
+       Array.init (Stream.length s) (Stream.item s) ))
+
+(* Fresh per run: plans carry generator state. *)
+let clock_plans =
+  [
+    ("no faults", None);
+    ("drop+dup", Some "drop=0.05,dup=0.05");
+    ("drop+crash", Some "drop=0.05,crash=1:5000:8000");
+  ]
+
+let plan_of = function
+  | None -> Faults.none
+  | Some spec -> (
+    match Faults.of_spec ~seed:3 spec with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e)
+
+let clock_topologies =
+  [ ("star", None); ("depth-2 tree", Some "tree:regions=2") ]
+
+let sim_transport ~plan ~topology () =
+  let tp = Transport_sim.create ~sites:clock_sites () in
+  Transport.set_faults tp (plan_of plan);
+  Option.iter
+    (fun spec ->
+      match Topology.of_spec ~sites:clock_sites spec with
+      | Ok topo -> Network.set_topology (Transport.ledger tp) topo
+      | Error e -> Alcotest.fail e)
+    topology;
+  tp
+
+let clock_contract make () =
+  let sites, items = Lazy.force clock_input in
+  List.iter
+    (fun (plan_name, plan) ->
+      List.iter
+        (fun (topo_name, topology) ->
+          let run eager =
+            Clock_contract.trace ~eager make
+              (sim_transport ~plan ~topology ())
+              ~sites ~items
+          in
+          Clock_contract.check
+            (plan_name ^ ", " ^ topo_name)
+            ~reference:(run true) ~candidate:(run false))
+        clock_topologies)
+    clock_plans
+
 let () =
   Alcotest.run "faults"
     [
@@ -271,4 +337,11 @@ let () =
           Alcotest.test_case "monitor degraded status" `Quick
             monitor_degraded_status;
         ] );
+      ( "clock contract",
+        List.map
+          (fun (name, make) ->
+            Alcotest.test_case
+              (name ^ ": batch clock = eager clock")
+              `Quick (clock_contract make))
+          Clock_contract.trackers );
     ]

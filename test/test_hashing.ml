@@ -236,6 +236,37 @@ let check_kat (type a) (ty : a Alcotest.testable) name (f : int -> a)
     (fun k e -> Alcotest.check ty (Printf.sprintf "%s %d" name k) e (f k))
     kat_keys expected
 
+(* The block kernel is the per-item level, on a slice at an offset, for
+   both families; a slice off either array is rejected. *)
+let test_geometric_levels_block () =
+  let src = Array.init 700 (fun i -> (i * 2654435761) land max_int) in
+  List.iter
+    (fun (name, h, rejection) ->
+      let dst = Array.make 300 (-1) in
+      Geometric.levels h ~src ~pos:123 ~len:300 ~dst;
+      Array.iteri
+        (fun j l ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s level of src.(%d)" name (123 + j))
+            (Geometric.level h src.(123 + j))
+            l)
+        dst;
+      List.iter
+        (fun (pos, len) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s rejects pos %d len %d" name pos len)
+            (Invalid_argument rejection)
+            (fun () -> Geometric.levels h ~src ~pos ~len ~dst))
+        [ (-1, 10); (0, -1); (500, 201); (0, 301) ])
+    [
+      ( "mixer",
+        Universal.of_rng (Rng.create 21),
+        "Splitmix.mix_bits_block: slice out of range" );
+      ( "multiply-shift",
+        Universal.multiply_shift (Rng.create 22),
+        "Universal.bits_block: slice out of range" );
+    ]
+
 let test_kat_mixed_tabulation () =
   (* Seed 1 is the registry seed the end-to-end benchmark draws from. *)
   let h = Mixed_tabulation.create (Rng.create 1) in
@@ -429,6 +460,8 @@ let () =
         [
           Alcotest.test_case "trailing zeros" `Quick test_trailing_zeros;
           Alcotest.test_case "level distribution" `Quick test_geometric_level_of_hash;
+          Alcotest.test_case "levels block = level" `Quick
+            test_geometric_levels_block;
         ] );
       ( "known answers",
         [

@@ -664,6 +664,49 @@ let test_tcp_tree_aggregator_crash () =
     (r_sim.Simulation.backbone_bytes <> r_clean.Simulation.backbone_bytes
     || r_sim.Simulation.total_bytes <> r_clean.Simulation.total_bytes)
 
+(* --- clock contract over the stream carrier --- *)
+
+(* The trackers sync the ledger clock lazily (see Clock_contract), and
+   the carrier's crash hook runs on that clock.  Under a crash window the
+   batched run must detach and reattach the site on the same update as
+   the eager one, and stamp the same trace. *)
+let clock_faults () =
+  match Faults.of_spec ~seed:3 "drop=0.05,crash=1:5000:8000" with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
+
+let test_tcp_clock_contract () =
+  let s = Lazy.force stream in
+  let n = Wd_workload.Stream.length s in
+  let site_arr = Array.init n (Wd_workload.Stream.site s)
+  and items = Array.init n (Wd_workload.Stream.item s) in
+  List.iter
+    (fun (name, make) ->
+      let run eager =
+        let events, ws =
+          with_carrier Tcp_port ~sites (fun transport ->
+              Transport.set_faults transport (clock_faults ());
+              let events =
+                Clock_contract.trace ~eager make transport ~sites:site_arr
+                  ~items
+              in
+              Transport.close transport;
+              events)
+        in
+        ( events,
+          (ws.Transport.reconnects, ws.Transport.skipped_up,
+           ws.Transport.skipped_down) )
+      in
+      let reference, ref_stats = run true in
+      let candidate, stats = run false in
+      Clock_contract.check (name ^ " over tcp") ~reference ~candidate;
+      Alcotest.(check (triple int int int))
+        (name ^ ": reconnects and skipped bytes") ref_stats stats;
+      let reconnects, _, _ = stats in
+      Alcotest.(check bool) (name ^ ": crashed site reattached") true
+        (reconnects >= 1))
+    [ ("LS", Clock_contract.dc Dc.LS); ("LCS", Clock_contract.ds Ds.LCS) ]
+
 (* --- handshake robustness, per address --- *)
 
 let read_exact fd buf =
@@ -831,5 +874,10 @@ let () =
               check_version_mismatch_rejected Tcp_port);
           Alcotest.test_case "tcp coordinator times out cleanly" `Quick
             (fun () -> check_coordinator_times_out Tcp_port);
+        ] );
+      ( "clock",
+        [
+          Alcotest.test_case "tcp crash windows: batch clock = eager clock"
+            `Quick test_tcp_clock_contract;
         ] );
     ]
