@@ -10,11 +10,7 @@ let derived_chars = 4
    buffer is opaque to the GC. *)
 type t = Bytes.t
 
-(* Table numbers in the buffer; table [i] holds words [256 i .. 256 i + 255]. *)
-let mix_table = 0
-let derive_table = derived_chars
-let value_table = derived_chars + 8
-let words = 256 * (value_table + 8)
+let words = 256 * (derived_chars + 8 + 8)
 
 (* The unchecked load: every offset below is a masked byte inside its
    own table. *)
@@ -27,51 +23,87 @@ let create rng =
   done;
   b
 
-(* Character [i] of a key; [asr] sign-extends, so character 7 of a native
-   int is the top byte of its [Int64.of_int]. *)
-let[@inline] char x i = (x asr (8 * i)) land 0xFF
+(* [at t base s] is the word at byte [base + (s land 0x7F8)].  Table [i]
+   starts at byte [2048 i] (mix tables 0-3, derive 4-11, value 12-19),
+   and [s] is a word shifted so that one character sits in bits 3..10:
+   masked, it is that character's byte offset inside its table.  Every
+   call passes [base] as a literal byte offset, which the compiler folds
+   into the index arithmetic: a lookup is shift, mask, [lea], [sar] (the
+   untag), load.  Named table numbers are not folded, even through
+   [@inline] helpers, and cost twice the instructions. *)
+let[@inline] at t base s =
+  get64 t (base + Int64.to_int (Int64.logand s 0x7F8L))
 
-let[@inline] lookup t table c = get64 t (8 * ((256 * table) + c))
-let[@inline] value t x i = lookup t (value_table + i) (char x i)
-
-(* Only the low 32 bits of the derived word are ever read (as
-   [derived_chars] = 4 characters), so it is kept as a native int. *)
-let[@inline] derive t x i =
-  Int64.to_int (lookup t (derive_table + i) (char x i))
-let[@inline] mix t d c = lookup t (mix_table + c) (char d c)
-
-(* 8 simple-tabulation lookups produce the value word and the
-   derived-character word, then [derived_chars] further lookups indexed
-   by the derived characters are XORed into the value word.  Unrolled by
-   hand (as two loops it ran about 1.7x slower: a variable shift per
-   character, a safepoint poll per iteration) and [@inline], so [hash]
-   and [pcsa] each keep the value word unboxed in a register. *)
+(* 8 simple-tabulation lookups, by the key's characters, produce the
+   value word [v] and the derived-character word [d]; then
+   [derived_chars] further lookups, by the low characters of [d], are
+   XORed into [v].  Character [i] of a key is byte [i] of its
+   [Int64.of_int], so character 7 is the sign-extended top byte.
+   Unrolled by hand (as two loops it ran about 1.7x slower: a variable
+   shift per character, a safepoint poll per iteration).  The XORs run
+   as one chain with [v] and [d] interleaved, which keeps few words
+   live: with [@inline], [hash], [pcsa] and [pcsa_block] keep the whole
+   kernel in registers. *)
 let[@inline] word t x =
-  let d =
-    derive t x 0 lxor derive t x 1 lxor derive t x 2 lxor derive t x 3
-    lxor derive t x 4 lxor derive t x 5 lxor derive t x 6 lxor derive t x 7
-  in
-  let v =
-    Int64.logxor
-      (Int64.logxor
-         (Int64.logxor (value t x 0) (value t x 1))
-         (Int64.logxor (value t x 2) (value t x 3)))
-      (Int64.logxor
-         (Int64.logxor (value t x 4) (value t x 5))
-         (Int64.logxor (value t x 6) (value t x 7)))
-  in
-  Int64.logxor v
-    (Int64.logxor
-       (Int64.logxor (mix t d 0) (mix t d 1))
-       (Int64.logxor (mix t d 2) (mix t d 3)))
+  let k = Int64.of_int x in
+  let v = at t 24576 (Int64.shift_left k 3) in
+  let d = at t 8192 (Int64.shift_left k 3) in
+  let v = Int64.logxor v (at t 26624 (Int64.shift_right_logical k 5)) in
+  let d = Int64.logxor d (at t 10240 (Int64.shift_right_logical k 5)) in
+  let v = Int64.logxor v (at t 28672 (Int64.shift_right_logical k 13)) in
+  let d = Int64.logxor d (at t 12288 (Int64.shift_right_logical k 13)) in
+  let v = Int64.logxor v (at t 30720 (Int64.shift_right_logical k 21)) in
+  let d = Int64.logxor d (at t 14336 (Int64.shift_right_logical k 21)) in
+  let v = Int64.logxor v (at t 32768 (Int64.shift_right_logical k 29)) in
+  let d = Int64.logxor d (at t 16384 (Int64.shift_right_logical k 29)) in
+  let v = Int64.logxor v (at t 34816 (Int64.shift_right_logical k 37)) in
+  let d = Int64.logxor d (at t 18432 (Int64.shift_right_logical k 37)) in
+  let v = Int64.logxor v (at t 36864 (Int64.shift_right_logical k 45)) in
+  let d = Int64.logxor d (at t 20480 (Int64.shift_right_logical k 45)) in
+  let v = Int64.logxor v (at t 38912 (Int64.shift_right_logical k 53)) in
+  let d = Int64.logxor d (at t 22528 (Int64.shift_right_logical k 53)) in
+  let v = Int64.logxor v (at t 0 (Int64.shift_left d 3)) in
+  let v = Int64.logxor v (at t 2048 (Int64.shift_right_logical d 5)) in
+  let v = Int64.logxor v (at t 4096 (Int64.shift_right_logical d 13)) in
+  Int64.logxor v (at t 6144 (Int64.shift_right_logical d 21))
 
 let hash t x = word t x
 
-let pcsa t x =
-  let h = word t x in
+(* The trailing-zero count of {!Geometric.trailing_zeros_int}, by de
+   Bruijn multiplication, repeated here because under -opaque that is a
+   call per item. *)
+let debruijn32 =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+(* The PCSA split of a hash word: its top 32 bits [lsl 6], [lor] the
+   trailing zeros of its low 32 bits (32 when they are all zero). *)
+let[@inline] split h =
   let low = Int64.to_int h land 0xFFFF_FFFF in
-  let level = if low = 0 then 32 else Geometric.trailing_zeros_int low in
+  let level =
+    if low = 0 then 32
+    else
+      Array.unsafe_get debruijn32
+        ((((low land -low) * 0x077C_B531) land 0xFFFF_FFFF) lsr 27)
+  in
   (Int64.to_int (Int64.shift_right_logical h 32) lsl 6) lor level
+
+let pcsa t x = split (word t x)
+
+(* The loop, apart from the slice check: with no call in it, the
+   buffer, both arrays and the bounds stay in registers. *)
+let[@inline never] pcsa_fill t src pos len dst =
+  for j = 0 to len - 1 do
+    Array.unsafe_set dst j (split (word t (Array.unsafe_get src (pos + j))))
+  done
+
+let pcsa_block t ~src ~pos ~len ~dst =
+  if
+    pos < 0 || len < 0
+    || pos + len > Array.length src
+    || len > Array.length dst
+  then invalid_arg "Mixed_tabulation.pcsa_block: slice out of range";
+  pcsa_fill t src pos len dst
 
 let concentrated_buckets ~alpha ~delta =
   if alpha <= 0.0 || alpha >= 1.0 then

@@ -42,6 +42,15 @@ val pcsa : t -> int -> int
     [int64] result is boxed (3 words) once it leaves this module, [pcsa]
     allocates nothing. *)
 
+val pcsa_block :
+  t -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** [pcsa_block h ~src ~pos ~len ~dst] sets [dst.(j) <- pcsa h src.(pos + j)]
+    for [0 <= j < len]: a block of keys hashed in one call, with the
+    kernel inlined into the loop, so nothing is called or allocated per
+    key.  Each result depends only on [h] and its key.  Raises
+    [Invalid_argument] unless [src.(pos .. pos + len - 1)] and
+    [dst.(0 .. len - 1)] exist. *)
+
 val concentrated_buckets : alpha:float -> delta:float -> int
 (** The single-repetition sizing rule.  With a concentrated hash the
     relative error of a one-pass PCSA-style sketch with [m] buckets obeys

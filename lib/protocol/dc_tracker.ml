@@ -90,7 +90,15 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     mutable aggs : agg_state array;
     (* Tree aggregators, lazily sized to the ledger's installed topology
        (which may be set after tracker creation); empty for the star. *)
+    block_keys : int array;
+    (* [observe_batch]'s buffer: the sketch key of every item of the
+       current block, filled by one {!Sketch.keys} call per block. *)
   }
+
+  (* Items per key block.  The buffer is per-tracker state, so the block
+     is small: 64 ints fill half a KiB, and 255 cost the view registry's
+     state more for no faster feed. *)
+  let key_block = 64
 
   let create ?(cost_model = Network.Unicast) ?network ?transport
       ?(item_batching = true) ?(delta_replies = true) ?(max_retries = 5)
@@ -148,6 +156,7 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
       updates = 0;
       sink;
       aggs = [||];
+      block_keys = Array.make key_block 0;
     }
 
   let algorithm t = t.algorithm
@@ -545,39 +554,41 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
         end)
       t.site_states
 
-  let observe_approx t ~site v =
-    let st = t.site_states.(site) in
-    if Sketch.add st.sk v then begin
-      (* The local summary changed: refresh the cached estimate, remember
-         the item for cheap shipping, and test the send threshold. *)
-      st.d_est <- Sketch.estimate st.sk;
-      if st.pending_valid then
-        if Hashtbl.length st.pending >= t.pending_cap then begin
-          Hashtbl.reset st.pending;
-          st.pending_valid <- false
-        end
-        else Hashtbl.replace st.pending v ();
-      let threshold = send_threshold t st in
-      if st.d_est > threshold then begin
-        if Sink.enabled t.sink then
-          Sink.emit t.sink
-            {
-              Event.time = t.updates;
-              kind =
-                Event.Threshold_crossed
-                  { site; estimate = st.d_est; threshold };
-            };
-        let delivery, sk0_changed = deliver_contribution t site st in
-        if delivery.Network.received then
-          coordinator_react t ~sender:site ~acked:delivery.Network.acked
-            ~sk0_changed
+  (* An arrival that changed site [site]'s sketch [st.sk]: refresh the
+     cached estimate, remember the item for cheap shipping, and test the
+     send threshold. *)
+  let observe_changed t ~site st v =
+    st.d_est <- Sketch.estimate st.sk;
+    if st.pending_valid then
+      if Hashtbl.length st.pending >= t.pending_cap then begin
+        Hashtbl.reset st.pending;
+        st.pending_valid <- false
       end
+      else Hashtbl.replace st.pending v ();
+    let threshold = send_threshold t st in
+    if st.d_est > threshold then begin
+      if Sink.enabled t.sink then
+        Sink.emit t.sink
+          {
+            Event.time = t.updates;
+            kind =
+              Event.Threshold_crossed { site; estimate = st.d_est; threshold };
+          };
+      let delivery, sk0_changed = deliver_contribution t site st in
+      if delivery.Network.received then
+        coordinator_react t ~sender:site ~acked:delivery.Network.acked
+          ~sk0_changed
     end
 
   (* One update with the crash-scan decision already made; [observe] and
      [observe_batch] share this body so their behaviour is identical
-     update for update. *)
-  let[@inline] observe_one t ~crashes ~site v =
+     update for update.  [keyed] says whether [key] holds [v]'s sketch key
+     ({!Sketch.keys}): the batch hashes a block at a time and passes
+     [true], [observe] passes [false] and [Sketch.add] hashes the item.
+     Both call sites pass a constant, so the test folds away.  An update
+     that leaves the local sketch as it was, the common case under
+     duplication, calls nothing beyond the add. *)
+  let[@inline] observe_one t ~crashes ~keyed ~site ~key v =
     t.updates <- t.updates + 1;
     if crashes then begin
       sync t;
@@ -590,13 +601,19 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     else begin
       match t.algorithm with
       | EC -> observe_exact t ~site v
-      | NS | SC | SS | LS -> observe_approx t ~site v
+      | NS | SC | SS | LS ->
+        let changed =
+          if keyed then Sketch.add_key st.sk key else Sketch.add st.sk v
+        in
+        if changed then observe_changed t ~site st v
     end
 
   let observe t ~site v =
     if site < 0 || site >= t.k then
       invalid_arg "Dc_tracker.observe: site index out of range";
-    observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v;
+    observe_one t
+      ~crashes:(Faults.has_crashes (Network.faults t.net))
+      ~keyed:false ~site ~key:0 v;
     sync t
 
   let observe_batch t ~sites ~items ~pos ~len =
@@ -611,6 +628,11 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
        crash scan entirely, as [observe] does). *)
     let crashes = Faults.has_crashes (Network.faults t.net) in
     let k = t.k in
+    let keys = t.block_keys in
+    (* EC hashes nothing, so it leaves the key buffer unread. *)
+    let hashing =
+      match t.algorithm with EC -> false | NS | SC | SS | LS -> true
+    in
     (* Span timing wraps the whole batch (one recorder lookup per call,
        not per update), so the disabled cost on the hot path is a single
        option match per batch. *)
@@ -618,11 +640,23 @@ module Make (Sketch : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     let start_ns =
       match spans with None -> 0L | Some r -> Wd_obs.Span.now r
     in
-    for j = pos to pos + len - 1 do
-      let site = Array.unsafe_get sites j in
-      if site < 0 || site >= k then
-        invalid_arg "Dc_tracker.observe_batch: site index out of range";
-      observe_one t ~crashes ~site (Array.unsafe_get items j)
+    let last = pos + len in
+    let first = ref pos in
+    while !first < last do
+      let b = !first in
+      let m = if last - b < key_block then last - b else key_block in
+      (* Keys are a function of the family and the item alone, so a
+         crash wipe or an LS reply inside the block leaves them valid. *)
+      if hashing then Sketch.keys t.family ~src:items ~pos:b ~len:m ~dst:keys;
+      for j = 0 to m - 1 do
+        let site = Array.unsafe_get sites (b + j) in
+        if site < 0 || site >= k then
+          invalid_arg "Dc_tracker.observe_batch: site index out of range";
+        observe_one t ~crashes ~keyed:true ~site
+          ~key:(Array.unsafe_get keys j)
+          (Array.unsafe_get items (b + j))
+      done;
+      first := b + m
     done;
     if len > 0 then sync t;
     match spans with

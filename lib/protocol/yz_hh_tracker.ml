@@ -119,7 +119,9 @@ let site_down_for t i =
 let lost_updates t =
   Array.fold_left (fun acc st -> acc + st.lost) 0 t.site_states
 
-let find0 table v = Option.value (Hashtbl.find_opt table v) ~default:0
+(* [Hashtbl.find] and [Not_found], not [find_opt]: a hit builds no
+   option, so an update that sends nothing allocates nothing. *)
+let find0 table v = try Hashtbl.find table v with Not_found -> 0
 
 (* The clock contract of {!Transport.S.set_time}: the update count
    reaches the transport only when something reads it.  Every call that

@@ -90,6 +90,12 @@ let insert_hash t h =
 
 let add t v = insert_hash t (Universal.hash t.fam.hash v)
 
+(* An item is its own key: the hash is left to [add], which reads all 64
+   bits of [Universal.hash]. *)
+let keys _ = Sketch_intf.copy_keys
+
+let add_key = add
+
 (* Equal to folding [add] (change flags discarded); the hash function
    load is hoisted out of the loop. *)
 let add_batch t vs =

@@ -86,6 +86,12 @@ let add t v =
     let j = Universal.to_range fam.bucket_hash ~buckets:fam.m v in
     Fm_bitmap.add_level t.bitmaps.(j) (Geometric.level fam.hashes.(0) v)
 
+(* An item is its own key: the hash is left to [add], whose [Averaged]
+   variant hashes each item once per bitmap. *)
+let keys _ = Sketch_intf.copy_keys
+
+let add_key = add
+
 (* Equal to folding [add] over [vs] (change flags discarded): the family
    dispatch, field loads and bounds checks are hoisted out of the loop,
    which is what makes the batched path worth threading up through the

@@ -54,11 +54,15 @@ let copy t =
    no averaging over independent repetitions is needed.  Levels cap at
    32, bounding each bucket near 2^32 phi; with m >= 16 buckets the
    sketch range exceeds any int stream this code can see.
-   [Mixed_tabulation.pcsa] hands both over packed in one native int, so
-   an update allocates nothing. *)
-let add t v =
-  let p = Mixed_tabulation.pcsa t.fam.hash v in
+   [Mixed_tabulation.pcsa] hands both over packed in one native int, the
+   item's key, so an update allocates nothing. *)
+let keys fam ~src ~pos ~len ~dst =
+  Mixed_tabulation.pcsa_block fam.hash ~src ~pos ~len ~dst
+
+let add_key t p =
   Fm_bitmap.add_level t.bitmaps.((p lsr 6) mod t.fam.m) (p land 63)
+
+let add t v = add_key t (Mixed_tabulation.pcsa t.fam.hash v)
 
 (* Equal to folding [add] (change flags discarded) with the hash tables
    and bounds checks hoisted out of the loop. *)

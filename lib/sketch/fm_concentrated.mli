@@ -50,6 +50,18 @@ val add : t -> int -> bool
 (** One mixed-tabulation hash: bucket from the high bits, level from the
     trailing zeros of the low bits.  [true] iff a bit was newly set. *)
 
+val keys :
+  family -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** An item's key is its {!Wd_hashing.Mixed_tabulation.pcsa} word, so
+    this is {!Wd_hashing.Mixed_tabulation.pcsa_block} over the family's
+    hash: a block of items hashed in one call.  Keys depend only on the
+    family and the item (see {!Sketch_intf.DISTINCT_SKETCH.keys}). *)
+
+val add_key : t -> int -> bool
+(** [add_key t p] sets level [p land 63] of bucket [(p lsr 6) mod m]:
+    the bitmap test of {!add} without the hash, so
+    [add t v = add_key t (Mixed_tabulation.pcsa h v)]. *)
+
 val add_batch : t -> int array -> unit
 (** Folding {!add} with the hash tables hoisted out of the loop — the
     row the bench gate compares against the committed [Averaged] FM

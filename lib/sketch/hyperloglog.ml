@@ -73,6 +73,12 @@ let add t v =
   end
   else false
 
+(* An item is its own key: the hash is left to [add], which reads all 64
+   bits of [Universal.hash]. *)
+let keys _ = Sketch_intf.copy_keys
+
+let add_key = add
+
 (* Equal to folding [add] (change flags discarded) with the family loads
    hoisted out of the loop. *)
 let add_batch t vs =

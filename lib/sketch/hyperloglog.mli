@@ -47,6 +47,14 @@ val copy : t -> t
 (** [add t v] inserts the item; [true] iff some register increased. *)
 val add : t -> int -> bool
 
+val keys :
+  family -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** Copies the items: an item is its own key
+    ({!Sketch_intf.DISTINCT_SKETCH.keys}). *)
+
+val add_key : t -> int -> bool
+(** {!add}, since an item is its own key. *)
+
 val add_batch : t -> int array -> unit
 (** [add_batch t vs] inserts every element of [vs]; equal to folding
     {!add} with the change flags discarded. *)

@@ -30,6 +30,19 @@ type estimator = Classic | Mle
     merge-compatible by construction, which the protocols rely on
     (state merges first, estimation happens at the coordinator). *)
 
+(* The [keys] of a sketch whose key is the item itself.  A loop over
+   [int array]s stores without a write barrier; [Array.blit] is a C call
+   per block. *)
+let copy_keys ~(src : int array) ~pos ~len ~(dst : int array) =
+  if
+    pos < 0 || len < 0
+    || pos + len > Array.length src
+    || len > Array.length dst
+  then invalid_arg "Sketch_intf.copy_keys: slice out of range";
+  for j = 0 to len - 1 do
+    Array.unsafe_set dst j (Array.unsafe_get src (pos + j))
+  done
+
 module type DISTINCT_SKETCH = sig
   type family
   (** Shared hash functions and dimensioning. *)
@@ -77,6 +90,24 @@ module type DISTINCT_SKETCH = sig
       of the per-item loop — the preferred entry point when a caller
       already holds a chunk of arrivals (the batched simulator, bulk
       loaders, benchmarks). *)
+
+  val keys :
+    family -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+  (** [keys fam ~src ~pos ~len ~dst] sets [dst.(j)] to the key of item
+      [src.(pos + j)] for [0 <= j < len]: whatever {!add} computes from
+      the item before it touches the summary, so that
+      [add t v = add_key t k] when [k] is [v]'s key.  A key depends only
+      on the family and the item, never on summary state, so a block of
+      keys stays valid whatever happens to the summaries it is added to
+      in between (a crash wiping a site's sketch, a merge from the
+      coordinator).  {!Fm_concentrated}'s key is the item's hash, computed
+      a block at a time; the other sketches' key is the item itself.
+      Raises [Invalid_argument] unless [src.(pos .. pos + len - 1)] and
+      [dst.(0 .. len - 1)] exist. *)
+
+  val add_key : t -> int -> bool
+  (** [add_key t k] finishes the {!add} of the item whose key is [k]
+      (see {!keys}) and reports whether the summary changed. *)
 
   val merge_into : dst:t -> t -> unit
   (** [merge_into ~dst src] makes [dst] summarize the union of both input

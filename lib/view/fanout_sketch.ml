@@ -105,6 +105,12 @@ let add t v =
   end
   else false
 
+(* An item is its own key: the hash is left to [add], where the plane's
+   memo serves every view on the plane with one hash per item. *)
+let keys _ = Wd_sketch.Sketch_intf.copy_keys
+
+let add_key = add
+
 (* Equal to folding [add] (change flags discarded); the memo makes the
    hoisting moot, so this is just the loop. *)
 let add_batch t vs =

@@ -69,6 +69,15 @@ val family_of : t -> family
 
 val copy : t -> t
 val add : t -> int -> bool
+
+val keys :
+  family -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** Copies the items: an item is its own key
+    ({!Wd_sketch.Sketch_intf.DISTINCT_SKETCH.keys}). *)
+
+val add_key : t -> int -> bool
+(** {!add}, since an item is its own key. *)
+
 val add_batch : t -> int array -> unit
 val merge_into : dst:t -> t -> unit
 val estimate : t -> float

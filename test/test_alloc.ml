@@ -15,7 +15,9 @@
    is boxed.  Hash words therefore stay inside one function and leave
    their module as native ints: [Mixed_tabulation.pcsa],
    [Universal.bits]/[to_range], [Geometric.level], [Splitmix.mix_bits],
-   and their block twins, which fill a caller's [int array].
+   and their block twins, which fill a caller's [int array]
+   ([Mixed_tabulation.pcsa_block] is fmc's [keys], the DC tracker's
+   block path).
 
    What still allocates, and why:
    - [Hyperloglog] and [Bjkst] updates: they read all 64 bits of
@@ -27,10 +29,10 @@
    - Updates that send or grow protocol state, which are not steady
      state: a DS item entering a site's counts (hashtable insert), a DS
      count report or level change (message, pruning), a DC threshold
-     crossing (message, estimate refresh).  A DS count increment that
-     sends nothing allocates nothing: table lookups raise [Not_found]
-     instead of building an option, and the send threshold is compared
-     unboxed. *)
+     crossing (message, estimate refresh).  A DS or YZ-HH count
+     increment that sends nothing allocates nothing: table lookups
+     raise [Not_found] instead of building an option, and the DS send
+     threshold is compared unboxed. *)
 
 module Rng = Wd_hashing.Rng
 module Fmc = Wd_sketch.Fm_concentrated
@@ -41,6 +43,8 @@ module Fanout = Wd_view.Fanout_sketch
 module Registry = Wd_view.Registry
 module Query = Wd_view.Query
 module Ds = Wd_protocol.Ds_tracker
+module Dc_fmc = Wd_protocol.Dc_tracker.Make (Fmc)
+module Yz_hh = Wd_protocol.Yz_hh_tracker
 module Tracker_intf = Wd_protocol.Tracker_intf
 module Network = Wd_net.Network
 module Cm = Wd_frequency.Cm_sketch
@@ -75,6 +79,16 @@ let fmc_add () =
 let fmc_add_batch () =
   let t = Fmc.create (fmc_family ()) in
   check_quiet ~updates:n (fun () -> Fmc.add_batch t items)
+
+(* The DC tracker's block path: keys hashed a block at a time, then
+   added one by one. *)
+let fmc_keys_add_key () =
+  let fam = fmc_family () in
+  let t = Fmc.create fam in
+  let keys = Array.make n 0 in
+  check_quiet ~updates:n (fun () ->
+      Fmc.keys fam ~src:items ~pos:0 ~len:n ~dst:keys;
+      Array.iter (fun k -> ignore (Fmc.add_key t k : bool)) keys)
 
 let fmc_delta_bytes () =
   let fam = fmc_family () in
@@ -171,6 +185,21 @@ let registry_quiet_chunk () =
   Alcotest.(check int) "the chunk was quiet" m0 (Network.total_messages net);
   Registry.close reg
 
+(* The per-update entry point: [observe] on items every site has
+   already seen hashes each one and sends nothing. *)
+let dc_fmc_observe_quiet () =
+  let tr =
+    Dc_fmc.create ~algorithm:Wd_protocol.Dc_tracker.LS ~theta:0.05 ~sites:4
+      ~family:(fmc_family ()) ()
+  in
+  let feed () =
+    Array.iteri (fun i v -> Dc_fmc.observe tr ~site:(i mod 4) v) items
+  in
+  feed ();
+  let sends = Dc_fmc.sends tr in
+  check_quiet ~updates:n feed;
+  Alcotest.(check int) "no site sent" sends (Dc_fmc.sends tr)
+
 let ds_lco_below_level () =
   let family = Sampler.family ~rng:(Rng.create 10) ~threshold:100 in
   let tr = Ds.create ~algorithm:Ds.LCO ~theta:0.25 ~sites:4 ~family () in
@@ -207,6 +236,27 @@ let ds_passing_no_send () =
   check_quiet ~updates:(Array.length vs) feed;
   Alcotest.(check int) "no site sent" sends (Ds.sends tr)
 
+(* YZ-HH updates under a large Delta: a long warm-up raises the round
+   (Delta grows with it), then 20k new items are fed twice, and no site
+   reaches Delta in either pass.  The second pass only increments counts
+   already in the tables. *)
+let yz_hh_passing_no_send () =
+  let tr = Yz_hh.create ~epsilon:0.5 ~top_k:8 ~sites:4 () in
+  let warm = Array.init (10 * n) (fun i -> i mod 64) in
+  Yz_hh.observe_batch tr
+    ~sites:(Array.map (fun v -> v mod 4) warm)
+    ~items:warm ~pos:0 ~len:(Array.length warm);
+  let vs = Array.init 20_000 (fun i -> 1000 + i) in
+  let sites = Array.map (fun v -> v mod 4) vs in
+  let feed () =
+    Yz_hh.observe_batch tr ~sites ~items:vs ~pos:0 ~len:(Array.length vs)
+  in
+  Alcotest.(check bool) "Delta above two passes" true
+    (Yz_hh.site_send_threshold tr 0 > 10_000.0);
+  let sends = Yz_hh.sends tr in
+  check_quiet ~updates:(Array.length vs) feed;
+  Alcotest.(check int) "no site sent" sends (Yz_hh.sends tr)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -214,6 +264,7 @@ let () =
         [
           Alcotest.test_case "fmc add" `Quick fmc_add;
           Alcotest.test_case "fmc add_batch" `Quick fmc_add_batch;
+          Alcotest.test_case "fmc keys + add_key" `Quick fmc_keys_add_key;
           Alcotest.test_case "fmc delta_bytes" `Quick fmc_delta_bytes;
           Alcotest.test_case "fanout add, shared plane" `Quick fanout_add;
           Alcotest.test_case "fm add averaged" `Quick (fm_add Fm.Averaged);
@@ -232,8 +283,12 @@ let () =
         [
           Alcotest.test_case "dc fmc registry quiet chunk" `Quick
             registry_quiet_chunk;
+          Alcotest.test_case "dc fmc observe quiet" `Quick
+            dc_fmc_observe_quiet;
           Alcotest.test_case "ds lco below level" `Quick ds_lco_below_level;
           Alcotest.test_case "ds passing update, no send" `Quick
             ds_passing_no_send;
+          Alcotest.test_case "yz-hh passing update, no send" `Quick
+            yz_hh_passing_no_send;
         ] );
     ]

@@ -342,6 +342,60 @@ let test_validation () =
     (fun () ->
       Dc.Fm.observe_batch t ~sites:[| 0 |] ~items:[| 1 |] ~pos:0 ~len:2)
 
+(* A bad site in the middle of a batch, past the first key block:
+   [observe_batch] applies every update before it, then raises, exactly
+   as feeding the same updates one [observe] at a time does.  Both
+   trackers then take the rest of the stream and still agree. *)
+let test_bad_site_mid_batch () =
+  let module Fmc = Wd_sketch.Fm_concentrated in
+  let module T = Dc.Make (Fmc) in
+  let n = 200 and bad = 150 in
+  let items = Array.init n (fun i -> (i * 7) mod 61) in
+  let sites = Array.init n (fun i -> if i = bad then 7 else i mod 4) in
+  List.iter
+    (fun alg ->
+      let make () =
+        T.create ~algorithm:alg ~theta:0.05 ~sites:4
+          ~family:(Fmc.family_custom ~rng:(Rng.create 5) ~buckets:16)
+          ()
+      in
+      let name = algo_name alg in
+      let folded = make () and batched = make () in
+      for j = 10 to bad - 1 do
+        T.observe folded ~site:sites.(j) items.(j)
+      done;
+      Alcotest.check_raises (name ^ " observe names the site")
+        (Invalid_argument "Dc_tracker.observe: site index out of range")
+        (fun () -> T.observe folded ~site:sites.(bad) items.(bad));
+      Alcotest.check_raises (name ^ " observe_batch names the site")
+        (Invalid_argument "Dc_tracker.observe_batch: site index out of range")
+        (fun () ->
+          T.observe_batch batched ~sites ~items ~pos:10 ~len:(n - 20));
+      let agree what =
+        Alcotest.(check int) (name ^ " updates " ^ what) (T.updates folded)
+          (T.updates batched);
+        Alcotest.(check int) (name ^ " sends " ^ what) (T.sends folded)
+          (T.sends batched);
+        Alcotest.(check int)
+          (name ^ " bytes " ^ what)
+          (Network.total_bytes (T.network folded))
+          (Network.total_bytes (T.network batched));
+        Alcotest.(check (float 0.0))
+          (name ^ " estimate " ^ what)
+          (T.estimate folded) (T.estimate batched)
+      in
+      Alcotest.(check int) (name ^ " updates before the bad site") (bad - 10)
+        (T.updates batched);
+      agree "at the raise";
+      Alcotest.(check bool) (name ^ " sent before the raise") true
+        (T.sends batched > 0);
+      for j = bad + 1 to n - 1 do
+        T.observe folded ~site:sites.(j) items.(j)
+      done;
+      T.observe_batch batched ~sites ~items ~pos:(bad + 1) ~len:(n - bad - 1);
+      agree "after the rest")
+    Dc.all_algorithms
+
 (* The exact algorithm has no send threshold: the error must name EC so a
    caller poking the wrong mode learns which variant it holds. *)
 let test_ec_has_no_threshold () =
@@ -434,6 +488,8 @@ let () =
       ( "api",
         [
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "bad site mid-batch" `Quick
+            test_bad_site_mid_batch;
           Alcotest.test_case "EC has no threshold" `Quick
             test_ec_has_no_threshold;
           Alcotest.test_case "algorithm strings" `Quick test_algorithm_strings;

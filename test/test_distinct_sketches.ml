@@ -170,12 +170,25 @@ module Conformance (S : Wd_sketch.Sketch_intf.DISTINCT_SKETCH) = struct
     Alcotest.(check bool)
       (Printf.sprintf "%s has positive wire size" S.name)
       true
-      (S.size_bytes a > 0)
+      (S.size_bytes a > 0);
+    (* [keys] checks its slice like the other block kernels. *)
+    let src = Array.init 700 Fun.id and dst = Array.make 300 0 in
+    List.iter
+      (fun (pos, len) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s keys rejects pos %d len %d" S.name pos len)
+          true
+          (match S.keys fam ~src ~pos ~len ~dst with
+          | () -> false
+          | exception Invalid_argument _ -> true))
+      [ (-1, 10); (0, -1); (500, 201); (0, 301) ]
 end
 
 module Fm_conf = Conformance (Wd_sketch.Fm)
 module Bjkst_conf = Conformance (Wd_sketch.Bjkst)
 module Hll_conf = Conformance (Wd_sketch.Hyperloglog)
+module Fmc_conf = Conformance (Wd_sketch.Fm_concentrated)
+module Fanout_conf = Conformance (Wd_view.Fanout_sketch)
 
 (* --- QCheck: BJKST/HLL merge = direct insertion --- *)
 
@@ -237,6 +250,8 @@ let () =
           Alcotest.test_case "fm" `Quick Fm_conf.run;
           Alcotest.test_case "bjkst" `Quick Bjkst_conf.run;
           Alcotest.test_case "hll" `Quick Hll_conf.run;
+          Alcotest.test_case "fmc" `Quick Fmc_conf.run;
+          Alcotest.test_case "fanout" `Quick Fanout_conf.run;
         ] );
       ("properties", qsuite);
     ]

@@ -267,6 +267,28 @@ let test_geometric_levels_block () =
         "Universal.bits_block: slice out of range" );
     ]
 
+(* The block hash is the per-key [pcsa], on a slice at an offset; a
+   slice off either array is rejected. *)
+let test_pcsa_block () =
+  let h = Mixed_tabulation.create (Rng.create 23) in
+  let src = Array.init 700 (fun i -> (i * 2654435761) lxor (i lsl 40)) in
+  let dst = Array.make 300 (-1) in
+  Mixed_tabulation.pcsa_block h ~src ~pos:123 ~len:300 ~dst;
+  Array.iteri
+    (fun j p ->
+      Alcotest.(check int)
+        (Printf.sprintf "pcsa of src.(%d)" (123 + j))
+        (Mixed_tabulation.pcsa h src.(123 + j))
+        p)
+    dst;
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "rejects pos %d len %d" pos len)
+        (Invalid_argument "Mixed_tabulation.pcsa_block: slice out of range")
+        (fun () -> Mixed_tabulation.pcsa_block h ~src ~pos ~len ~dst))
+    [ (-1, 10); (0, -1); (500, 201); (0, 301) ]
+
 let test_kat_mixed_tabulation () =
   (* Seed 1 is the registry seed the end-to-end benchmark draws from. *)
   let h = Mixed_tabulation.create (Rng.create 1) in
@@ -341,6 +363,111 @@ let prop_pcsa_is_hash_split =
       in
       let high = Int64.to_int (Int64.shift_right_logical w 32) in
       Mixed_tabulation.pcsa h x = (high lsl 6) lor level)
+
+(* --- Mixed tabulation against its readable reference --- *)
+
+(* The kernel as first written: table [i] holds words [256 i .. 256 i +
+   255] of the flat buffer, in draw order (mix, derive, value), and a
+   lookup scales the table number and the character at run time.
+   [Mixed_tabulation] reads the same buffer through literal byte offsets
+   and must compute the same bits. *)
+module Reference_mt = struct
+  let derived_chars = 4
+  let mix_table = 0
+  let derive_table = derived_chars
+  let value_table = derived_chars + 8
+  let words = 256 * (value_table + 8)
+
+  let create rng =
+    let b = Bytes.create (8 * words) in
+    for w = 0 to words - 1 do
+      Bytes.set_int64_ne b (8 * w) (Rng.int64 rng)
+    done;
+    b
+
+  (* Character [i] of a key; [asr] sign-extends, so character 7 of a
+     native int is the top byte of its [Int64.of_int]. *)
+  let char x i = (x asr (8 * i)) land 0xFF
+  let lookup t table c = Bytes.get_int64_ne t (8 * ((256 * table) + c))
+  let value t x i = lookup t (value_table + i) (char x i)
+
+  (* Only the low 32 bits of the derived word are read. *)
+  let derive t x i = Int64.to_int (lookup t (derive_table + i) (char x i))
+  let mix t d c = lookup t (mix_table + c) (char d c)
+
+  let hash t x =
+    let d =
+      derive t x 0 lxor derive t x 1 lxor derive t x 2 lxor derive t x 3
+      lxor derive t x 4 lxor derive t x 5 lxor derive t x 6 lxor derive t x 7
+    in
+    let v =
+      Int64.logxor
+        (Int64.logxor
+           (Int64.logxor (value t x 0) (value t x 1))
+           (Int64.logxor (value t x 2) (value t x 3)))
+        (Int64.logxor
+           (Int64.logxor (value t x 4) (value t x 5))
+           (Int64.logxor (value t x 6) (value t x 7)))
+    in
+    Int64.logxor v
+      (Int64.logxor
+         (Int64.logxor (mix t d 0) (mix t d 1))
+         (Int64.logxor (mix t d 2) (mix t d 3)))
+
+  let pcsa t x =
+    let h = hash t x in
+    let low = Int64.to_int h land 0xFFFF_FFFF in
+    let level = if low = 0 then 32 else Geometric.trailing_zeros_int low in
+    (Int64.to_int (Int64.shift_right_logical h 32) lsl 6) lor level
+end
+
+(* A key whose 8 characters, as [Int64.of_int] has them, are all
+   nonzero: the top byte keeps its sign bit equal to bit 62, which is
+   what the native int can carry. *)
+let all_chars_nonzero rng =
+  let top =
+    if Rng.bool rng then 1 + Rng.int rng 63 else 0xC0 + Rng.int rng 64
+  in
+  let w = ref top in
+  for _ = 1 to 7 do
+    w := (!w lsl 8) lor (1 + Rng.int rng 255)
+  done;
+  !w
+
+(* Per case: a fresh table seed and 500 keys (the extremes, keys with
+   every character nonzero, small stream-like keys and any native int),
+   so the default 200 cases check 10^5 keys. *)
+let mt_case rng =
+  let seed = Prop.int_range 0 10_000 rng in
+  let keys =
+    Array.init 500 (fun i ->
+        match i with
+        | 0 -> 0
+        | 1 -> -1
+        | 2 -> max_int
+        | 3 -> min_int
+        | _ -> (
+          match Rng.int rng 4 with
+          | 0 -> all_chars_nonzero rng
+          | 1 -> Rng.int rng 1_000_000
+          | _ -> any_int rng))
+  in
+  (seed, keys)
+
+let prop_mt_is_reference =
+  Prop.test_case
+    ~show:(fun (seed, keys) ->
+      Printf.sprintf "(seed %d, keys %s)" seed
+        (Prop.show_list Prop.show_int (Array.to_list keys)))
+    ~name:"hash, pcsa = reference kernel" mt_case
+    (fun (seed, keys) ->
+      let h = Mixed_tabulation.create (Rng.create seed)
+      and r = Reference_mt.create (Rng.create seed) in
+      Array.for_all
+        (fun x ->
+          Int64.equal (Mixed_tabulation.hash h x) (Reference_mt.hash r x)
+          && Mixed_tabulation.pcsa h x = Reference_mt.pcsa r x)
+        keys)
 
 let prop_bits_is_hash_window =
   Prop.test_case ~show:show_seed_key
@@ -462,6 +589,7 @@ let () =
           Alcotest.test_case "level distribution" `Quick test_geometric_level_of_hash;
           Alcotest.test_case "levels block = level" `Quick
             test_geometric_levels_block;
+          Alcotest.test_case "pcsa_block = pcsa" `Quick test_pcsa_block;
         ] );
       ( "known answers",
         [
@@ -473,6 +601,7 @@ let () =
       ( "native ints",
         [
           prop_pcsa_is_hash_split;
+          prop_mt_is_reference;
           prop_bits_is_hash_window;
           prop_mix_bits_is_mix_window;
           prop_trailing_zeros_int;

@@ -15,9 +15,12 @@
      reports ship absolute values under faults);
    - [add_batch] is observationally equal to folding [add], for every
      sketch behind DISTINCT_SKETCH and for the sampler, including across
-     merges — and [observe_batch] is observationally equal to folding
-     [observe] for both trackers (same estimates, byte ledgers and send
-     counts), which is what licenses the batched simulator fast path;
+     merges, and so is [add_key] folded over a block of [keys] (same
+     change flags, equal summary) — and [observe_batch] is
+     observationally equal to folding [observe] for both trackers (same
+     estimates, byte ledgers and send counts), over copied keys (fm) and
+     hashed ones (fmc), across key blocks and under a crash plan, which
+     is what licenses the batched simulator fast path;
    - hierarchical merging up a random tree (sites -> aggregators ->
      root, depth >= 2) equals the centralized sketch for every family
      and estimator, which is what licenses aggregators forwarding
@@ -36,6 +39,7 @@ module Fm = Wd_sketch.Fm
 module Fmc = Wd_sketch.Fm_concentrated
 module Bjkst = Wd_sketch.Bjkst
 module Hll = Wd_sketch.Hyperloglog
+module Fanout = Wd_view.Fanout_sketch
 module Sampler = Wd_sketch.Distinct_sampler
 
 let mle = Wd_sketch.Sketch_intf.Mle
@@ -75,6 +79,11 @@ module type BITMAP_SKETCH = sig
   val create : family -> t
   val add : t -> int -> bool
   val add_batch : t -> int array -> unit
+
+  val keys :
+    family -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+
+  val add_key : t -> int -> bool
   val merge_into : dst:t -> t -> unit
   val equal : t -> t -> bool
   val estimate : t -> float
@@ -178,6 +187,23 @@ let bitmap_suite (type f) name (module M : BITMAP_SKETCH with type family = f)
         M.add_batch a (Array.of_list c.zs);
         let folded = merged fam (c.xs @ c.zs) c.ys in
         M.equal a folded);
+    prop "add_key over keys = fold add" (fun c ->
+        (* The keys of [ys], read from a slice at offset [|xs|], added to
+           a summary that already holds [xs]. *)
+        let fam = mk_family ~seed:c.fam_seed in
+        let all = Array.of_list (c.xs @ c.ys) in
+        let pos = List.length c.xs in
+        let len = Array.length all - pos in
+        let keys = Array.make len 0 in
+        M.keys fam ~src:all ~pos ~len ~dst:keys;
+        let keyed = of_items fam c.xs and added = of_items fam c.xs in
+        let same_flags = ref true in
+        Array.iteri
+          (fun j key ->
+            if M.add_key keyed key <> M.add added all.(pos + j) then
+              same_flags := false)
+          keys;
+        !same_flags && M.equal keyed added);
   ]
 
 let fm_suite variant name =
@@ -222,6 +248,16 @@ let hll_suite_with est name =
         (Hll.family_custom ~rng:(Rng.create seed) ~registers:16))
 
 let hll_suite = hll_suite_with Wd_sketch.Sketch_intf.Classic "hll"
+
+(* The registry's fan-out sketch, on a private plane per family. *)
+let fanout_suite est name =
+  bitmap_suite name
+    (module Fanout : BITMAP_SKETCH with type family = Fanout.family)
+    (fun ~seed ->
+      Fanout.with_estimator est
+        (Fanout.family_custom
+           ~plane:(Fanout.plane ~rng:(Rng.create seed) ())
+           ~buckets:8))
 
 (* ------------------------------------------------------------------ *)
 (* Distinct sampler: algebra over (level, retained counts) *)
@@ -350,6 +386,7 @@ let sampler_suite =
    a different protocol. *)
 
 module Dc = Wd_protocol.Dc_tracker
+module Dc_fmc = Dc.Make (Fmc)
 module Ds = Wd_protocol.Ds_tracker
 module Network = Wd_net.Network
 
@@ -399,6 +436,52 @@ let tracker_suite =
             && T.sends folded = T.sends batched
             && T.updates folded = T.updates batched)
           Dc.all_algorithms);
+    tracker_prop "dc fmc observe_batch = fold observe" (fun c ->
+        (* Hashed keys: the stream spans several key blocks, the batch
+           is fed as two slices (the second at [pos > 0]), and every
+           algorithm runs once on a clean channel and once under a plan
+           that drops messages and crashes site 1 across block edges. *)
+        let module T = Dc_fmc in
+        let items =
+          Array.append
+            (Array.of_list (c.xs @ c.ys @ c.zs))
+            (Array.init 150 (fun i -> ((i * 37) + c.fam_seed) mod 151))
+        in
+        let sites = Array.mapi (fun j v -> (j + v) mod tracker_sites) items in
+        let n = Array.length items in
+        let split = 1 + List.length c.xs in
+        List.for_all
+          (fun (alg, spec) ->
+            let make () =
+              let fam =
+                Fmc.family_custom ~rng:(Rng.create c.fam_seed) ~buckets:8
+              in
+              let t =
+                T.create ~algorithm:alg ~theta:0.1 ~sites:tracker_sites
+                  ~family:fam ()
+              in
+              Option.iter
+                (fun spec ->
+                  match Wd_net.Faults.of_spec ~seed:c.fam_seed spec with
+                  | Ok plan -> Network.set_faults (T.network t) plan
+                  | Error e -> failwith e)
+                spec;
+              t
+            in
+            let folded = make () in
+            Array.iteri (fun j v -> T.observe folded ~site:sites.(j) v) items;
+            let batched = make () in
+            T.observe_batch batched ~sites ~items ~pos:0 ~len:split;
+            T.observe_batch batched ~sites ~items ~pos:split ~len:(n - split);
+            T.estimate folded = T.estimate batched
+            && net_sig (T.network folded) = net_sig (T.network batched)
+            && T.sends folded = T.sends batched
+            && T.updates folded = T.updates batched
+            && T.lost_updates folded = T.lost_updates batched
+            && (spec = None || T.lost_updates batched > 0))
+          (List.concat_map
+             (fun alg -> [ (alg, None); (alg, Some "drop=0.1,crash=1:40:130") ])
+             Dc.all_algorithms));
     tracker_prop "ds observe_batch = fold observe" (fun c ->
         let sites, items = case_stream c in
         let n = Array.length items in
@@ -598,6 +681,8 @@ let () =
       ("bjkst-mle", bjkst_suite_with mle "bjkst-mle");
       ("hll", hll_suite);
       ("hll-mle", hll_suite_with mle "hll-mle");
+      ("fanout", fanout_suite Wd_sketch.Sketch_intf.Classic "fanout");
+      ("fanout-mle", fanout_suite mle "fanout-mle");
       ("sampler", sampler_suite);
       ("tracker", tracker_suite);
       ("topology", topology_suite);
