@@ -142,7 +142,7 @@ let lost_updates t =
    coordinator reports lags truth by at most that many items (on top of
    the dyadic structure's own sketching error). *)
 let delta_of t round_d =
-  max 1
+  Int.max 1
     (int_of_float
        (t.epsilon *. Float.of_int round_d /. (2.0 *. Float.of_int t.k)))
 

@@ -44,12 +44,10 @@ let[@inline] trailing_zeros_int w =
    and never boxes. *)
 let[@inline] level_of_low low = if low = 0 then 63 else trailing_zeros_int low
 
-let level h v = level_of_low (Universal.bits h ~shift:0 v)
+(* Gibbons–Tirthapura's own form of the level test: a word is below
+   level [l] iff one of its low [l] bits is set.  [1 lsl l] is
+   unspecified for [l > 63], and from [l = 63] on every bit of the
+   63-bit word counts, so the mask saturates at all ones. *)
+let below_mask l = if l >= 63 then -1 else (1 lsl l) - 1
 
-(* The block twin of [level]: hash the block in one call, then count
-   trailing zeros in place. *)
-let levels h ~src ~pos ~len ~dst =
-  Universal.bits_block h ~shift:0 ~src ~pos ~len ~dst;
-  for j = 0 to len - 1 do
-    Array.unsafe_set dst j (level_of_low (Array.unsafe_get dst j))
-  done
+let level h v = level_of_low (Universal.bits h ~shift:0 v)

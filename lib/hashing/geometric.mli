@@ -21,10 +21,12 @@ val level : Universal.t -> int -> int
     [Pr[level h v >= l] = 2^-l] for [l <= 63] over the choice of [h].
     Allocation-free (through {!Universal.bits}). *)
 
-val levels :
-  Universal.t -> src:int array -> pos:int -> len:int -> dst:int array -> unit
-(** [levels h ~src ~pos ~len ~dst] sets [dst.(j) <- level h src.(pos + j)]
-    for [0 <= j < len], one call per block (through
-    {!Universal.bits_block}) and nothing called or allocated per item.
-    Raises [Invalid_argument] unless [src.(pos .. pos + len - 1)] and
-    [dst.(0 .. len - 1)] exist. *)
+val below_mask : int -> int
+(** [below_mask l] is the mask of the low [l] bits, for [l >= 0]:
+    [(1 lsl l) - 1] for [l <= 62] and [-1] (all 63 bits) for
+    [l >= 63].  For [w = Universal.bits h ~shift:0 v], whose level
+    [level h v] is [trailing_zeros_int w] (63 for [0]),
+    [level h v < l] iff [w land below_mask l <> 0], exactly for
+    [0 <= l <= 63].  Above 63 the test is one-sided: at [l >= 64] it
+    calls every nonzero word below [l] and [0] (level 63) not below, so
+    it never calls an item below a level that it reaches. *)

@@ -33,6 +33,7 @@ type site_state = {
   last_sent : (int, int) Hashtbl.t; (* C_{v,i}^t *)
   known_global : (int, int) Hashtbl.t; (* C_{v,0}^t (GCS/LCS) *)
   mutable level : int; (* latest l received from the coordinator *)
+  mutable below : int; (* [Sampler.below_mask level], set with it *)
   mutable down : bool;
   mutable down_since : int; (* update index of the crash transition *)
   mutable lost : int; (* arrivals discarded while down *)
@@ -59,15 +60,15 @@ type t = {
   mutable sends : int;
   mutable updates : int;
   mutable sink : Sink.t; (* protocol-decision events; see Wd_obs *)
-  block_levels : int array;
-  (* [observe_batch]'s buffer: the level of every item of the current
-     block, filled by one {!Sampler.levels} call per block. *)
+  block_bits : int array;
+  (* [observe_batch]'s buffer: the raw level bits of every item of the
+     current block, filled by one {!Sampler.level_bits} call per block. *)
 }
 
-(* Items per level block.  The buffer is per-tracker state, so the block
+(* Items per hash block.  The buffer is per-tracker state, so the block
    is small: 255 ints and their header fill 2 KiB, and a 4096-item block
    ran no faster. *)
-let level_block = 255
+let bits_block = 255
 
 let create ?(cost_model = Network.Unicast) ?network ?transport
     ?(max_retries = 5) ?(sink = Sink.null) ~algorithm ~theta ~sites ~family ()
@@ -96,6 +97,7 @@ let create ?(cost_model = Network.Unicast) ?network ?transport
       last_sent = Hashtbl.create 64;
       known_global = Hashtbl.create 64;
       level = 0;
+      below = 0;
       down = false;
       down_since = 0;
       lost = 0;
@@ -115,7 +117,7 @@ let create ?(cost_model = Network.Unicast) ?network ?transport
     sends = 0;
     updates = 0;
     sink;
-    block_levels = Array.make level_block 0;
+    block_bits = Array.make bits_block 0;
   }
 
 let algorithm t = t.algorithm
@@ -167,11 +169,17 @@ let prune_below t l table =
     (fun v c -> if Sampler.item_level t.coord v < l then None else Some c)
     table
 
+(* A site's level and the mask [observe_batch]'s scan tests against it
+   change together, here and nowhere else. *)
+let set_site_level st l =
+  st.level <- l;
+  st.below <- Sampler.below_mask l
+
 (* Drop, at one site, every tracked item below the new level: the
    coordinator has announced it is no longer interested in them. *)
 let raise_site_level t st l =
   if l > st.level then begin
-    st.level <- l;
+    set_site_level st l;
     prune_below t l st.counts;
     prune_below t l st.last_sent;
     prune_below t l st.known_global
@@ -365,7 +373,7 @@ let wipe_site st =
   Hashtbl.reset st.counts;
   Hashtbl.reset st.last_sent;
   Hashtbl.reset st.known_global;
-  st.level <- 0
+  set_site_level st 0
 
 (* Re-seed a freshly restarted site: replay the sampling level and the
    per-item counts the coordinator has credited to it, so the site
@@ -384,7 +392,7 @@ let resync_restarted t i st =
         ~payload
     in
     if d.Network.received then begin
-      st.level <- Sampler.level t.coord;
+      set_site_level st (Sampler.level t.coord);
       Hashtbl.iter
         (fun v c ->
           if Sampler.item_level t.coord v >= st.level then begin
@@ -415,12 +423,11 @@ let scan_crashes t =
       end)
     t.site_states
 
-(* One update with the crash-scan decision already made and the item's
-   level already computed; [observe] and [observe_batch] share this body
-   so their behaviour is identical update for update.  An item below its
-   site's level, the common case once the sample has filled, calls
-   nothing. *)
-let[@inline] observe_one t ~crashes ~site ~level v =
+(* One update with the crash-scan decision already made; [observe] and
+   [observe_batch] share this body so their behaviour is identical
+   update for update.  The item's level is hashed only when the site is
+   up and runs an approximate algorithm, and is compared exactly. *)
+let[@inline] observe_one t ~crashes ~site v =
   t.updates <- t.updates + 1;
   if crashes then begin
     sync t;
@@ -431,16 +438,36 @@ let[@inline] observe_one t ~crashes ~site ~level v =
   else begin
     match t.algorithm with
     | EDS -> observe_exact t ~site v
-    | LCO | GCS | LCS -> if level >= st.level then observe_approx t ~site st v
+    | LCO | GCS | LCS ->
+      if Sampler.item_level t.coord v >= st.level then
+        observe_approx t ~site st v
   end
 
 let observe t ~site v =
   if site < 0 || site >= t.k then
     invalid_arg "Ds_tracker.observe: site index out of range";
-  observe_one t
-    ~crashes:(Faults.has_crashes (Network.faults t.net))
-    ~site ~level:(Sampler.item_level t.coord v) v;
+  observe_one t ~crashes:(Faults.has_crashes (Network.faults t.net)) ~site v;
   sync t
+
+(* The index of the first update in [j, m) of the block at [b] that is
+   not quiet, or [m]: a quiet update goes to a site that is in range and
+   up, and its level bits show it below the site's level, so
+   [observe_one] would only count it.  The scan calls nothing, so the
+   loop keeps its values in registers.  Nothing changes a site's level
+   or mask while it runs.  The mask test is exact up to level 63; at 64
+   and above it errs toward "not quiet" (bits 0), which [observe_one]'s
+   exact test then settles. *)
+let rec skip_quiet states k sites b bits j m =
+  if j >= m then m
+  else begin
+    let site = Array.unsafe_get sites (b + j) in
+    if site < 0 || site >= k then j
+    else begin
+      let st = Array.unsafe_get states site in
+      if st.down || Array.unsafe_get bits j land st.below = 0 then j
+      else skip_quiet states k sites b bits (j + 1) m
+    end
+  end
 
 let observe_batch t ~sites ~items ~pos ~len =
   let n = Array.length sites in
@@ -451,23 +478,35 @@ let observe_batch t ~sites ~items ~pos ~len =
   (* The installed fault plan cannot change mid-batch: hoist the
      crash-window test out of the per-update loop. *)
   let crashes = Faults.has_crashes (Network.faults t.net) in
-  let k = t.k in
-  let levels = t.block_levels in
+  (* Crash plans scan for crashes and count lost updates on every
+     update, and EDS sends every update: only the other runs skip. *)
+  let scan = (not crashes) && t.algorithm <> EDS in
+  let k = t.k and states = t.site_states in
+  let bits = t.block_bits in
   (* One recorder lookup per batch: the disabled-span cost on the hot
      path is a single option match. *)
   let spans = Network.spans t.net in
   let start_ns = match spans with None -> 0L | Some r -> Wd_obs.Span.now r in
+  let last = pos + len in
   let first = ref pos in
-  while !first < pos + len do
+  while !first < last do
     let b = !first in
-    let m = Int.min level_block (pos + len - b) in
-    Sampler.levels t.coord ~src:items ~pos:b ~len:m ~dst:levels;
-    for j = 0 to m - 1 do
-      let site = Array.unsafe_get sites (b + j) in
-      if site < 0 || site >= k then
-        invalid_arg "Ds_tracker.observe_batch: site index out of range";
-      observe_one t ~crashes ~site ~level:(Array.unsafe_get levels j)
-        (Array.unsafe_get items (b + j))
+    let m = Int.min bits_block (last - b) in
+    if scan then Sampler.level_bits t.coord ~src:items ~pos:b ~len:m ~dst:bits;
+    let j = ref 0 in
+    while !j < m do
+      let q = if scan then skip_quiet states k sites b bits !j m else !j in
+      (* The skipped updates are counted before the next one is
+         observed, so its events carry the stamp per-update feeding
+         gives them. *)
+      t.updates <- t.updates + (q - !j);
+      if q < m then begin
+        let site = Array.unsafe_get sites (b + q) in
+        if site < 0 || site >= k then
+          invalid_arg "Ds_tracker.observe_batch: site index out of range";
+        observe_one t ~crashes ~site (Array.unsafe_get items (b + q))
+      end;
+      j := q + 1
     done;
     first := b + m
   done;

@@ -76,7 +76,7 @@ let create ?(cost_model = Network.Unicast) ?network ?transport
     }
   in
   let capacity =
-    max top_k (int_of_float (Float.ceil (2.0 /. epsilon)))
+    Int.max top_k (int_of_float (Float.ceil (2.0 /. epsilon)))
   in
   {
     k = sites;
@@ -141,7 +141,7 @@ let synced_net t =
    each site's knowledge lag is < Delta per tracked quantity, so the
    coordinator's per-item and total lags stay within eps * N overall. *)
 let delta_of t round_n =
-  max 1 (int_of_float (t.epsilon *. Float.of_int round_n /. (2.0 *. Float.of_int t.k)))
+  Int.max 1 (int_of_float (t.epsilon *. Float.of_int round_n /. (2.0 *. Float.of_int t.k)))
 
 let site_send_threshold t i =
   if i < 0 || i >= t.k then

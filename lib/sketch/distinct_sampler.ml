@@ -24,8 +24,10 @@ let level t = t.level
 
 let item_level t v = Geometric.level t.fam.hash v
 
-let levels t ~src ~pos ~len ~dst =
-  Geometric.levels t.fam.hash ~src ~pos ~len ~dst
+let level_bits t ~src ~pos ~len ~dst =
+  Universal.bits_block t.fam.hash ~shift:0 ~src ~pos ~len ~dst
+
+let below_mask = Geometric.below_mask
 
 (* [v]'s binding, or 0 when it has none; no option is built. *)
 let find0 table v = try Hashtbl.find table v with Not_found -> 0

@@ -47,12 +47,21 @@ val item_level : t -> int -> int
 (** [item_level t v] is the geometric level of [v] under the family hash
     (independent of the sampler state). *)
 
-val levels : t -> src:int array -> pos:int -> len:int -> dst:int array -> unit
-(** [levels t ~src ~pos ~len ~dst] sets [dst.(j) <- item_level t
-    src.(pos + j)] for [0 <= j < len]: the level hash of a block of
-    items in one call ({!Wd_hashing.Geometric.levels}), with nothing
-    called or allocated per item.  Raises [Invalid_argument] unless
+val level_bits :
+  t -> src:int array -> pos:int -> len:int -> dst:int array -> unit
+(** [level_bits t ~src ~pos ~len ~dst] sets [dst.(j)] to the raw level
+    bits of [src.(pos + j)] (the low 63 bits of the family hash, whose
+    trailing-zero count is {!item_level}) for [0 <= j < len]: a block of
+    items hashed in one call ({!Wd_hashing.Universal.bits_block}), with
+    nothing called or allocated per item.  Test them against a level
+    with {!below_mask}.  Raises [Invalid_argument] unless
     [src.(pos .. pos + len - 1)] and [dst.(0 .. len - 1)] exist. *)
+
+val below_mask : int -> int
+(** [below_mask l] is {!Wd_hashing.Geometric.below_mask}: for bits [w] of
+    item [v] from {!level_bits}, [w land below_mask l <> 0] iff
+    [item_level t v < l], exactly for [0 <= l <= 63].  At [l >= 64] it
+    errs one way only: an item with bits [0] reads as not below. *)
 
 val add : t -> int -> unit
 (** [add t v] processes one arrival of [v]: retained items get their count

@@ -64,7 +64,7 @@ let add t v =
   let rest = Int64.to_int h land ((1 lsl (64 - log2m)) - 1) in
   let rank =
     if rest = 0 then 63
-    else min 63 (1 + Geometric.trailing_zeros_int rest)
+    else Int.min 63 (1 + Geometric.trailing_zeros_int rest)
   in
   (* j < 2^log2m = m = |regs| by construction. *)
   if rank > Char.code (Bytes.unsafe_get t.regs j) then begin
@@ -94,7 +94,7 @@ let add_batch t vs =
     let rest = Int64.to_int h land low_mask in
     let rank =
       if rest = 0 then 63
-      else min 63 (1 + Geometric.trailing_zeros_int rest)
+      else Int.min 63 (1 + Geometric.trailing_zeros_int rest)
     in
     if rank > Char.code (Bytes.unsafe_get regs j) then
       Bytes.unsafe_set regs j (Char.unsafe_chr rank)

@@ -201,6 +201,113 @@ let test_validation () =
     (Invalid_argument "Ds_tracker.observe_batch: slice out of range")
     (fun () -> Ds.observe_batch t ~sites:[| 0 |] ~items:[| 1 |] ~pos:1 ~len:1)
 
+(* A bad site in the middle of a batch, past the first hash block:
+   [observe_batch] applies every update before it, then raises, exactly
+   as feeding the same updates one [observe] at a time does.  Both
+   trackers then take the rest of the stream and still agree.  The
+   small threshold raises the level early, so most updates before the
+   bad site are quiet and the scan steps over them. *)
+let test_bad_site_mid_batch () =
+  let n = 700 and bad = 520 in
+  let items = Array.init n (fun i -> (i * 7) mod 251) in
+  let sites = Array.init n (fun i -> if i = bad then 7 else i mod 4) in
+  List.iter
+    (fun alg ->
+      let make () =
+        Ds.create ~algorithm:alg ~theta:0.1 ~sites:4
+          ~family:(mk_family ~threshold:8 ())
+          ()
+      in
+      let name = algo_name alg in
+      let folded = make () and batched = make () in
+      for j = 10 to bad - 1 do
+        Ds.observe folded ~site:sites.(j) items.(j)
+      done;
+      Alcotest.check_raises (name ^ " observe names the site")
+        (Invalid_argument "Ds_tracker.observe: site index out of range")
+        (fun () -> Ds.observe folded ~site:sites.(bad) items.(bad));
+      Alcotest.check_raises (name ^ " observe_batch names the site")
+        (Invalid_argument "Ds_tracker.observe_batch: site index out of range")
+        (fun () ->
+          Ds.observe_batch batched ~sites ~items ~pos:10 ~len:(n - 20));
+      let agree what =
+        Alcotest.(check int) (name ^ " updates " ^ what) (Ds.updates folded)
+          (Ds.updates batched);
+        Alcotest.(check int) (name ^ " sends " ^ what) (Ds.sends folded)
+          (Ds.sends batched);
+        Alcotest.(check int)
+          (name ^ " bytes " ^ what)
+          (Network.total_bytes (Ds.network folded))
+          (Network.total_bytes (Ds.network batched));
+        Alcotest.(check int) (name ^ " level " ^ what) (Ds.level folded)
+          (Ds.level batched);
+        Alcotest.(check (list (pair int int)))
+          (name ^ " sample " ^ what)
+          (List.sort compare (Ds.sample folded))
+          (List.sort compare (Ds.sample batched))
+      in
+      Alcotest.(check int) (name ^ " updates before the bad site") (bad - 10)
+        (Ds.updates batched);
+      agree "at the raise";
+      Alcotest.(check bool) (name ^ " level raised before the raise") true
+        (Ds.level batched > 0);
+      for j = bad + 1 to n - 1 do
+        Ds.observe folded ~site:sites.(j) items.(j)
+      done;
+      Ds.observe_batch batched ~sites ~items ~pos:(bad + 1) ~len:(n - bad - 1);
+      agree "after the rest")
+    Ds.all_algorithms
+
+(* A site that is down when the crash plan is replaced by one without
+   crash windows stays down: no crash scan runs to bring it back, so its
+   arrivals are lost.  Level broadcasts reach it again and raise its
+   level, so the batch path must count its arrivals as lost rather than
+   step over them as quiet. *)
+let test_down_site_after_plan_swap () =
+  let n = 3000 and swap = 100 in
+  let items = Array.init n (fun i -> (i * 7) mod 1009) in
+  let sites = Array.init n (fun i -> i mod 4) in
+  List.iter
+    (fun alg ->
+      let make () =
+        let t =
+          Ds.create ~algorithm:alg ~theta:0.1 ~sites:4
+            ~family:(mk_family ~threshold:8 ())
+            ()
+        in
+        (match Wd_net.Faults.of_spec ~seed:3 "crash=1:50:100000" with
+        | Ok plan -> Network.set_faults (Ds.network t) plan
+        | Error e -> failwith e);
+        t
+      in
+      let name = algo_name alg in
+      let folded = make () and batched = make () in
+      for j = 0 to swap - 1 do
+        Ds.observe folded ~site:sites.(j) items.(j)
+      done;
+      Ds.observe_batch batched ~sites ~items ~pos:0 ~len:swap;
+      List.iter
+        (fun t -> Network.set_faults (Ds.network t) Wd_net.Faults.none)
+        [ folded; batched ];
+      for j = swap to n - 1 do
+        Ds.observe folded ~site:sites.(j) items.(j)
+      done;
+      Ds.observe_batch batched ~sites ~items ~pos:swap ~len:(n - swap);
+      Alcotest.(check bool) (name ^ " site 1 lost its arrivals") true
+        (Ds.lost_updates batched > (n - swap) / 4);
+      Alcotest.(check int) (name ^ " lost updates") (Ds.lost_updates folded)
+        (Ds.lost_updates batched);
+      Alcotest.(check int) (name ^ " sends") (Ds.sends folded)
+        (Ds.sends batched);
+      Alcotest.(check int) (name ^ " bytes")
+        (Network.total_bytes (Ds.network folded))
+        (Network.total_bytes (Ds.network batched));
+      Alcotest.(check (list (pair int int)))
+        (name ^ " sample")
+        (List.sort compare (Ds.sample folded))
+        (List.sort compare (Ds.sample batched)))
+    Ds.approximate_algorithms
+
 (* The exact algorithm has no send threshold: the error must name EDS so
    a caller poking the wrong mode learns which variant it holds. *)
 let test_eds_has_no_threshold () =
@@ -300,6 +407,10 @@ let () =
       ( "api",
         [
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "bad site mid-batch" `Quick
+            test_bad_site_mid_batch;
+          Alcotest.test_case "down site after plan swap" `Quick
+            test_down_site_after_plan_swap;
           Alcotest.test_case "EDS has no threshold" `Quick
             test_eds_has_no_threshold;
           Alcotest.test_case "algorithm strings" `Quick test_algorithm_strings;

@@ -236,27 +236,27 @@ let check_kat (type a) (ty : a Alcotest.testable) name (f : int -> a)
     (fun k e -> Alcotest.check ty (Printf.sprintf "%s %d" name k) e (f k))
     kat_keys expected
 
-(* The block kernel is the per-item level, on a slice at an offset, for
-   both families; a slice off either array is rejected. *)
-let test_geometric_levels_block () =
+(* The block kernel is the per-item [bits ~shift:0], on a slice at an
+   offset, for both families; a slice off either array is rejected. *)
+let test_bits_block () =
   let src = Array.init 700 (fun i -> (i * 2654435761) land max_int) in
   List.iter
     (fun (name, h, rejection) ->
       let dst = Array.make 300 (-1) in
-      Geometric.levels h ~src ~pos:123 ~len:300 ~dst;
+      Universal.bits_block h ~shift:0 ~src ~pos:123 ~len:300 ~dst;
       Array.iteri
-        (fun j l ->
+        (fun j w ->
           Alcotest.(check int)
-            (Printf.sprintf "%s level of src.(%d)" name (123 + j))
-            (Geometric.level h src.(123 + j))
-            l)
+            (Printf.sprintf "%s bits of src.(%d)" name (123 + j))
+            (Universal.bits h ~shift:0 src.(123 + j))
+            w)
         dst;
       List.iter
         (fun (pos, len) ->
           Alcotest.check_raises
             (Printf.sprintf "%s rejects pos %d len %d" name pos len)
             (Invalid_argument rejection)
-            (fun () -> Geometric.levels h ~src ~pos ~len ~dst))
+            (fun () -> Universal.bits_block h ~shift:0 ~src ~pos ~len ~dst))
         [ (-1, 10); (0, -1); (500, 201); (0, 301) ])
     [
       ( "mixer",
@@ -266,6 +266,34 @@ let test_geometric_levels_block () =
         Universal.multiply_shift (Rng.create 22),
         "Universal.bits_block: slice out of range" );
     ]
+
+(* The mask test is the level test: [w] is below level [l] (fewer than
+   [l] trailing zeros, 63 for 0) iff it has a set bit under the mask,
+   for every [l] in [0, 63].  The words are random ones shifted to every
+   level, and the edge words.  Past 63 the test is one-sided: every
+   nonzero word reads below level 64, and 0 (level 63) does not. *)
+let test_below_mask () =
+  let rng = Rng.create 24 in
+  let random =
+    List.concat_map
+      (fun _ ->
+        let w = Int64.to_int (Rng.int64 rng) in
+        List.init 63 (fun s -> w lsl s))
+      (List.init 40 Fun.id)
+  in
+  let words = [ 0; 1; 2; 1 lsl 62; max_int; min_int; -1 ] @ random in
+  List.iter
+    (fun w ->
+      let level = Geometric.trailing_zeros_int w in
+      for l = 0 to 63 do
+        if (level < l) <> (w land Geometric.below_mask l <> 0) then
+          Alcotest.failf "word %#x (level %d) against level %d" w level l
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "word %#x below level 64" w)
+        (w <> 0)
+        (w land Geometric.below_mask 64 <> 0))
+    words
 
 (* The block hash is the per-key [pcsa], on a slice at an offset; a
    slice off either array is rejected. *)
@@ -587,8 +615,8 @@ let () =
         [
           Alcotest.test_case "trailing zeros" `Quick test_trailing_zeros;
           Alcotest.test_case "level distribution" `Quick test_geometric_level_of_hash;
-          Alcotest.test_case "levels block = level" `Quick
-            test_geometric_levels_block;
+          Alcotest.test_case "bits_block = bits" `Quick test_bits_block;
+          Alcotest.test_case "below_mask = level test" `Quick test_below_mask;
           Alcotest.test_case "pcsa_block = pcsa" `Quick test_pcsa_block;
         ] );
       ( "known answers",

@@ -19,8 +19,9 @@
      change flags, equal summary) — and [observe_batch] is
      observationally equal to folding [observe] for both trackers (same
      estimates, byte ledgers and send counts), over copied keys (fm) and
-     hashed ones (fmc), across key blocks and under a crash plan, which
-     is what licenses the batched simulator fast path;
+     hashed ones (fmc), across key blocks and under a crash plan, and
+     for DS across hash blocks under loss, duplication and crashes,
+     which is what licenses the batched simulator fast path;
    - hierarchical merging up a random tree (sites -> aggregators ->
      root, depth >= 2) equals the centralized sketch for every family
      and estimator, which is what licenses aggregators forwarding
@@ -483,30 +484,60 @@ let tracker_suite =
              (fun alg -> [ (alg, None); (alg, Some "drop=0.1,crash=1:40:130") ])
              Dc.all_algorithms));
     tracker_prop "ds observe_batch = fold observe" (fun c ->
-        let sites, items = case_stream c in
+        (* The stream spans more than two 255-item hash blocks, the batch
+           is fed as two slices (the second at [pos > 0]), and the
+           threshold is small enough that the level rises inside a
+           block.  Every algorithm runs on a clean channel, under drop
+           and duplication (the quiet scan runs, and a site that missed
+           a level broadcast keeps a lower level), and under drop and a
+           crash of site 1 (every update is observed one by one, and
+           updates are lost). *)
+        let items =
+          Array.append
+            (Array.of_list (c.xs @ c.ys @ c.zs))
+            (Array.init 700 (fun i -> ((i * 37) + c.fam_seed) mod 401))
+        in
+        let sites = Array.mapi (fun j v -> (j + v) mod tracker_sites) items in
         let n = Array.length items in
+        let split = 1 + List.length c.xs in
+        let crash = "drop=0.1,crash=1:40:130" in
         List.for_all
-          (fun alg ->
+          (fun (alg, spec) ->
             let make () =
               let fam =
-                Sampler.family ~rng:(Rng.create c.fam_seed) ~threshold:16
+                Sampler.family ~rng:(Rng.create c.fam_seed) ~threshold:8
               in
-              Ds.create ~algorithm:alg ~theta:0.5 ~sites:tracker_sites
-                ~family:fam ()
+              let t =
+                Ds.create ~algorithm:alg ~theta:0.5 ~sites:tracker_sites
+                  ~family:fam ()
+              in
+              Option.iter
+                (fun spec ->
+                  match Wd_net.Faults.of_spec ~seed:c.fam_seed spec with
+                  | Ok plan -> Network.set_faults (Ds.network t) plan
+                  | Error e -> failwith e)
+                spec;
+              t
             in
             let folded = make () in
             Array.iteri
               (fun j v -> Ds.observe folded ~site:sites.(j) v)
               items;
             let batched = make () in
-            Ds.observe_batch batched ~sites ~items ~pos:0 ~len:n;
+            Ds.observe_batch batched ~sites ~items ~pos:0 ~len:split;
+            Ds.observe_batch batched ~sites ~items ~pos:split ~len:(n - split);
             List.sort compare (Ds.sample folded)
             = List.sort compare (Ds.sample batched)
             && Ds.level folded = Ds.level batched
             && net_sig (Ds.network folded) = net_sig (Ds.network batched)
             && Ds.sends folded = Ds.sends batched
-            && Ds.updates folded = Ds.updates batched)
-          Ds.all_algorithms);
+            && Ds.updates folded = Ds.updates batched
+            && Ds.lost_updates folded = Ds.lost_updates batched
+            && (spec <> Some crash || Ds.lost_updates batched > 0))
+          (List.concat_map
+             (fun alg ->
+               [ (alg, None); (alg, Some "drop=0.1,dup=0.1"); (alg, Some crash) ])
+             Ds.all_algorithms));
   ]
 
 (* ------------------------------------------------------------------ *)
